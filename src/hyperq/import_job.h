@@ -2,24 +2,17 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cdw/cdw_server.h"
-#include "cloudstore/object_store.h"
-#include "common/buffer_pool.h"
 #include "common/memory_tracker.h"
-#include "common/retry.h"
 #include "common/sequenced_queue.h"
 #include "common/stopwatch.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "hyperq/credit_manager.h"
-#include "hyperq/data_converter.h"
-#include "hyperq/error_handler.h"
-#include "hyperq/file_writer.h"
-#include "hyperq/hyperq_config.h"
+#include "hyperq/load_tail.h"
 #include "legacy/parcel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,33 +20,22 @@
 /// \file import_job.h
 /// One virtualized import job (Figure 2a of the paper): receives legacy data
 /// chunks from any number of parallel client sessions, converts them in the
-/// background, serializes staging files, uploads them to the cloud store,
-/// COPYs into a CDW staging table, and finally applies the job's DML
-/// transformation with adaptive error handling.
+/// background, and hands them to the shared LoadTail (load_tail.h), which
+/// stages, uploads, COPYs and finally applies the job's DML transformation
+/// with adaptive error handling.
 ///
-/// Pipeline stages and hand-offs (Sections 4-5):
+/// ImportJob is the tail's parallel front end (Sections 4-5):
 ///   session thread: CreditManager.Acquire -> submit -> ack client
-///   converter pool: legacy encoding -> staging CSV (+ data-error capture)
+///   converter pool: legacy encoding -> staging bytes (+ data-error capture)
 ///   sequenced queue: restores chunk order
-///   writer threads: return credit, write/rotate/finalize local files
-///   finish: bulk-upload -> COPY -> (ApplyDml) adaptive application
+///   writer threads: return credit, stage the chunk on the writer's lane,
+///                   merge the outcome into the open batch under mu_
+///   EndLoad: seal everything as ONE batch over rows [1, N] -> Ship
+///   ApplyDml: ET inserts -> adaptive apply -> teardown
+/// Every failure is sticky: once the job has failed, every later EndLoad or
+/// ApplyDml returns that failure.
 
 namespace hyperq::core {
-
-struct JobContext {
-  cdw::CdwServer* cdw = nullptr;
-  cloud::ObjectStore* store = nullptr;
-  CreditManager* credits = nullptr;
-  common::ThreadPool* converter_pool = nullptr;
-  common::MemoryTracker* memory = nullptr;
-  /// Node-wide recycler for chunk payload copies and converted CSV buffers
-  /// (null = allocate fresh per chunk); set by the HyperQServer.
-  common::BufferPool* buffers = nullptr;
-  /// Node-wide observability (null = disabled); set by the HyperQServer.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;
-  HyperQOptions options;
-};
 
 struct PhaseTimings {
   double acquisition_seconds = 0;  ///< data receipt + conversion + upload + COPY
@@ -97,34 +79,33 @@ class ImportJob {
   /// client after this returns.
   common::Status SubmitChunk(const legacy::DataChunkBody& chunk) HQ_EXCLUDES(mu_);
 
-  /// Drains the pipeline, finalizes and uploads staging files, and COPYs
-  /// into the staging table. Idempotent.
+  /// Drains the pipeline, seals every staged chunk as one batch, uploads it
+  /// and COPYs it into the staging table, then evaluates the quality gate.
+  /// Idempotent; a failure is sticky and ends the job.
   common::Status FinishAcquisition(uint64_t client_total_chunks, uint64_t client_total_rows)
-      HQ_EXCLUDES(mu_, finalize_mu_);
+      HQ_EXCLUDES(mu_);
 
   /// Application phase: transpiles and applies the legacy DML with adaptive
-  /// error handling; records data errors; drops the staging table.
+  /// error handling; records data errors; drops the staging table. Runs once,
+  /// after a successful FinishAcquisition, and ends the job either way.
   common::Result<legacy::JobReportBody> ApplyDml(const std::string& label,
                                                  const std::string& sql)
       HQ_EXCLUDES(mu_);
 
-  const std::string& job_id() const { return job_id_; }
-  const legacy::BeginLoadBody& begin() const { return begin_; }
+  const std::string& job_id() const { return tail_.job_id(); }
   PhaseTimings timings() const HQ_EXCLUDES(mu_);
   AcquisitionStats stats() const HQ_EXCLUDES(mu_);
   DmlApplyResult dml_result() const HQ_EXCLUDES(mu_);
   /// Per-job data-quality outcome (enabled=false when the gate is off).
   /// Complete once FinishAcquisition returns.
   QualityJobReport quality_report() const HQ_EXCLUDES(mu_);
-  /// Quarantine table name ("" when the gate is off). The table outlives the
-  /// job on purpose: quarantined rows are the operator's diagnostics.
-  const std::string& quarantine_table() const { return qrtn_table_; }
+  /// Quarantine table name ("" when the gate is off).
+  const std::string& quarantine_table() const { return tail_.quarantine_table(); }
   /// The job's span tree (null when observability is disabled).
-  std::shared_ptr<obs::Trace> trace() const { return trace_; }
+  std::shared_ptr<obs::Trace> trace() const { return tail_.trace(); }
 
  private:
-  ImportJob(std::string job_id, legacy::BeginLoadBody begin, JobContext ctx,
-            DataConverter converter, types::Schema staging_schema);
+  ImportJob(LoadTail tail, DataConverter converter);
 
   struct WorkItem {
     ConvertedChunk converted;
@@ -134,31 +115,27 @@ class ImportJob {
   };
 
   void StartWriters();
-  void WriterLoop(size_t writer_index) HQ_EXCLUDES(mu_, finalize_mu_);
+  void WriterLoop(size_t writer_index) HQ_EXCLUDES(mu_);
+  /// Merges one writer's staging outcome into the open batch.
+  void MergeStaged(SealedBatch staged, const common::Status& status) HQ_EXCLUDES(mu_);
+  /// The body of FinishAcquisition after the writers have drained.
+  common::Status SealAndShip(uint64_t client_total_chunks, uint64_t client_total_rows)
+      HQ_EXCLUDES(mu_);
+  /// The body of ApplyDml over the batch it took from sealed_.
+  common::Result<legacy::JobReportBody> ApplySealed(const std::string& sql, SealedBatch* batch)
+      HQ_EXCLUDES(mu_);
+  /// The one job-end step every terminal outcome goes through: makes a
+  /// failure sticky, counts the job as completed or failed, drops the
+  /// jobs-active gauge and finishes the trace, each exactly once.
+  void EndJob(const common::Status& outcome) HQ_EXCLUDES(mu_);
   void NoteFatal(const common::Status& s) HQ_EXCLUDES(mu_);
-  /// The job's retry policy for one substrate hop: io_retry options from the
-  /// config, the named endpoint's circuit breaker, and (when tracing) an
-  /// on_backoff hook that records Phase::kRetryBackoff spans.
-  common::RetryPolicy MakeIoRetry(const char* breaker_endpoint) const;
   common::Status fatal_status() const HQ_EXCLUDES(mu_);
-  /// Drops the jobs-active gauge exactly once (job end or destruction).
-  void ReleaseActiveGauge();
 
-  std::string job_id_;
-  legacy::BeginLoadBody begin_;
-  JobContext ctx_;
+  LoadTail tail_;
   DataConverter converter_;
-  types::Schema staging_schema_;
-  std::string staging_table_;
-  std::string remote_prefix_;
-  /// Quarantine path state (all empty / unused when the gate is off).
-  std::string qrtn_table_;
-  std::string qrtn_remote_prefix_;
 
-  /// Per-job span tree; node-wide instrument pointers cached once at
-  /// construction (all null when observability is off — hot paths test one
-  /// pointer and skip).
-  std::shared_ptr<obs::Trace> trace_;
+  /// Node-wide instrument pointers cached once at construction (all null
+  /// when observability is off — hot paths test one pointer and skip).
   struct Instruments {
     obs::Counter* chunks = nullptr;
     obs::Counter* rows_received = nullptr;
@@ -175,29 +152,17 @@ class ImportJob {
     obs::Counter* csv_reallocs = nullptr;
     obs::Histogram* convert_seconds = nullptr;
     obs::Histogram* write_seconds = nullptr;
-    obs::Histogram* upload_seconds = nullptr;
     obs::Histogram* apply_seconds = nullptr;
     obs::Gauge* converter_queue = nullptr;
-    obs::Gauge* jobs_active = nullptr;
     obs::Gauge* staging_bytes_per_row = nullptr;
-    obs::Counter* rows_quarantined = nullptr;
-    /// Violation-rate of the finished job, in basis points (rate * 10000).
-    obs::Gauge* violation_rate_bp = nullptr;
-    /// One labeled counter per compiled constraint
-    /// (hyperq_quality_violations_total{constraint="..."}), id-indexed.
-    std::vector<obs::Counter*> quality_violations;
   } m_;
-  std::atomic<bool> active_gauge_held_{true};
+  ActiveGauge active_;
+  std::atomic<bool> ended_{false};
 
   common::SequencedQueue<WorkItem> ordered_chunks_;
   std::vector<std::thread> writer_threads_;
-  std::vector<std::unique_ptr<FileWriter>> file_writers_;
-  /// Per-writer quarantine-file writers (same cardinality as file_writers_
-  /// when the gate is on, else empty). Quarantine files are always CSV.
-  std::vector<std::unique_ptr<FileWriter>> qrtn_writers_;
-  common::Mutex finalize_mu_{common::LockRank::kJob, "import_job_finalize"};
-  std::vector<FinalizedFile> finalized_files_ HQ_GUARDED_BY(finalize_mu_);
-  std::vector<FinalizedFile> qrtn_finalized_files_ HQ_GUARDED_BY(finalize_mu_);
+  /// One staging lane per writer thread, owned by that thread.
+  std::vector<StagingLane> lanes_;
 
   mutable common::Mutex mu_{common::LockRank::kJob, "import_job"};
   common::CondVar conversions_done_;
@@ -205,19 +170,10 @@ class ImportJob {
   uint64_t chunk_counter_ HQ_GUARDED_BY(mu_) = 0;
   uint64_t row_counter_ HQ_GUARDED_BY(mu_) = 0;
   uint64_t bytes_received_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<RecordError> data_errors_ HQ_GUARDED_BY(mu_);
-  uint64_t rows_staged_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t bytes_staged_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t chunks_abandoned_ HQ_GUARDED_BY(mu_) = 0;
-  /// Quality-gate aggregates across all converted chunks (id/field indexed,
-  /// sized in the constructor when the gate is on).
-  uint64_t quality_rows_checked_ HQ_GUARDED_BY(mu_) = 0;
-  uint64_t rows_quarantined_ HQ_GUARDED_BY(mu_) = 0;
-  /// Quarantine rows durably written to staging files (the COPY row-count
-  /// check target; differs from rows_quarantined_ only on abandoned chunks).
-  uint64_t qrtn_rows_staged_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> quality_violations_by_id_ HQ_GUARDED_BY(mu_);
-  std::vector<uint64_t> quality_field_nulls_ HQ_GUARDED_BY(mu_);
+  /// The job's one batch: open while writers stage into it, moved out and
+  /// shipped by FinishAcquisition, parked in sealed_ until ApplyDml takes it.
+  SealedBatch batch_ HQ_GUARDED_BY(mu_);
+  std::optional<SealedBatch> sealed_ HQ_GUARDED_BY(mu_);
   QualityJobReport quality_report_ HQ_GUARDED_BY(mu_);
   common::Status fatal_ HQ_GUARDED_BY(mu_);
   bool acquisition_finished_ HQ_GUARDED_BY(mu_) = false;

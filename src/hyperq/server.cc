@@ -159,11 +159,7 @@ void HyperQServer::AcceptLoop() {
   }
 }
 
-Result<std::shared_ptr<ImportJob>> HyperQServer::GetOrCreateImportJob(
-    const legacy::BeginLoadBody& begin) {
-  common::MutexLock lock(&jobs_mu_);
-  auto it = import_jobs_.find(begin.job_id);
-  if (it != import_jobs_.end()) return it->second;
+JobContext HyperQServer::MakeJobContext() {
   JobContext ctx;
   ctx.cdw = cdw_;
   ctx.store = store_;
@@ -174,8 +170,16 @@ Result<std::shared_ptr<ImportJob>> HyperQServer::GetOrCreateImportJob(
   ctx.metrics = metrics_;
   ctx.tracer = tracer_;
   ctx.options = options_;
+  return ctx;
+}
+
+Result<std::shared_ptr<ImportJob>> HyperQServer::GetOrCreateImportJob(
+    const legacy::BeginLoadBody& begin) {
+  common::MutexLock lock(&jobs_mu_);
+  auto it = import_jobs_.find(begin.job_id);
+  if (it != import_jobs_.end()) return it->second;
   HQ_ASSIGN_OR_RETURN(std::shared_ptr<ImportJob> job,
-                      ImportJob::Create(begin.job_id, begin, std::move(ctx)));
+                      ImportJob::Create(begin.job_id, begin, MakeJobContext()));
   import_jobs_[begin.job_id] = job;
   return job;
 }
@@ -196,18 +200,8 @@ Result<std::shared_ptr<stream::StreamJob>> HyperQServer::GetOrCreateStreamJob(
   common::MutexLock lock(&jobs_mu_);
   auto it = stream_jobs_.find(begin.job_id);
   if (it != stream_jobs_.end()) return it->second;
-  JobContext ctx;
-  ctx.cdw = cdw_;
-  ctx.store = store_;
-  ctx.credits = &credits_;
-  ctx.converter_pool = &converter_pool_;
-  ctx.memory = &memory_;
-  ctx.buffers = buffer_pool_.get();
-  ctx.metrics = metrics_;
-  ctx.tracer = tracer_;
-  ctx.options = options_;
   HQ_ASSIGN_OR_RETURN(std::shared_ptr<stream::StreamJob> job,
-                      stream::StreamJob::Create(begin.job_id, begin, std::move(ctx)));
+                      stream::StreamJob::Create(begin.job_id, begin, MakeJobContext()));
   stream_jobs_[begin.job_id] = job;
   return job;
 }

@@ -97,6 +97,8 @@ class HyperQServer {
   void AcceptLoop() HQ_EXCLUDES(sessions_mu_);
   void HandleSession(std::shared_ptr<net::Transport> transport) HQ_EXCLUDES(jobs_mu_);
 
+  /// The node-wide resources every import and stream job runs against.
+  JobContext MakeJobContext();
   common::Result<std::shared_ptr<ImportJob>> GetOrCreateImportJob(
       const legacy::BeginLoadBody& begin) HQ_EXCLUDES(jobs_mu_);
   common::Result<std::shared_ptr<ExportJob>> GetOrCreateExportJob(

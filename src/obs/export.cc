@@ -3,6 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <utility>
+#include <vector>
 
 namespace hyperq::obs {
 
@@ -33,29 +36,76 @@ void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+/// A registry name is a metric family, optionally followed by its label set:
+/// `hyperq_lock_wait_seconds{rank="kObs"}` is the `rank="kObs"` series of the
+/// `hyperq_lock_wait_seconds` family.
+struct SeriesName {
+  std::string family;
+  std::string labels;  ///< inside of the braces; empty when unlabelled
+};
+
+SeriesName SplitSeriesName(const std::string& name) {
+  size_t brace = name.find('{');
+  if (brace == std::string::npos || name.back() != '}') return {name, ""};
+  return {name.substr(0, brace), name.substr(brace + 1, name.size() - brace - 2)};
+}
+
+std::string JoinSeriesName(const std::string& family, const std::string& labels) {
+  return labels.empty() ? family : family + "{" + labels + "}";
+}
+
+/// Groups a snapshot map by family so each family gets one `# TYPE` line and
+/// its labelled series are emitted together, in registry-name order.
+template <typename V>
+std::map<std::string, std::vector<std::pair<std::string, const V*>>> ByFamily(
+    const std::map<std::string, V>& series) {
+  std::map<std::string, std::vector<std::pair<std::string, const V*>>> families;
+  for (const auto& [name, value] : series) {
+    SeriesName split = SplitSeriesName(name);
+    families[split.family].emplace_back(split.labels, &value);
+  }
+  return families;
+}
+
+/// `family<suffix>{labels,extra}`, dropping empty parts.
+std::string SampleName(const std::string& family, std::string_view suffix,
+                       const std::string& labels, const std::string& extra = "") {
+  std::string all = labels;
+  if (!all.empty() && !extra.empty()) all += ",";
+  all += extra;
+  return JoinSeriesName(family + std::string(suffix), all);
+}
+
 }  // namespace
 
 std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "# TYPE " + name + " counter\n";
-    out += name + " " + std::to_string(value) + "\n";
+  for (const auto& [family, series] : ByFamily(snapshot.counters)) {
+    out += "# TYPE " + family + " counter\n";
+    for (const auto& [labels, value] : series) {
+      out += SampleName(family, "", labels) + " " + std::to_string(*value) + "\n";
+    }
   }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + std::to_string(value) + "\n";
+  for (const auto& [family, series] : ByFamily(snapshot.gauges)) {
+    out += "# TYPE " + family + " gauge\n";
+    for (const auto& [labels, value] : series) {
+      out += SampleName(family, "", labels) + " " + std::to_string(*value) + "\n";
+    }
   }
   const auto& bounds = Histogram::BucketBounds();
-  for (const auto& [name, hist] : snapshot.histograms) {
-    out += "# TYPE " + name + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < hist.buckets.size(); ++i) {
-      cumulative += hist.buckets[i];
-      std::string le = i < bounds.size() ? FormatBound(bounds[i]) : std::string("+Inf");
-      out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cumulative) + "\n";
+  for (const auto& [family, series] : ByFamily(snapshot.histograms)) {
+    out += "# TYPE " + family + " histogram\n";
+    for (const auto& [labels, hist] : series) {
+      uint64_t cumulative = 0;
+      for (size_t i = 0; i < hist->buckets.size(); ++i) {
+        cumulative += hist->buckets[i];
+        std::string le = i < bounds.size() ? FormatBound(bounds[i]) : std::string("+Inf");
+        out += SampleName(family, "_bucket", labels, "le=\"" + le + "\"") + " " +
+               std::to_string(cumulative) + "\n";
+      }
+      out += SampleName(family, "_sum", labels) + " " + FormatDouble(hist->sum) + "\n";
+      out += SampleName(family, "_count", labels) + " " + std::to_string(hist->count) + "\n";
     }
-    out += name + "_sum " + FormatDouble(hist.sum) + "\n";
-    out += name + "_count " + std::to_string(hist.count) + "\n";
   }
   return out;
 }
@@ -196,10 +246,12 @@ std::string LockGraphToJson(const common::LockOrderSnapshot& snapshot) {
 
 namespace {
 
-/// One `name value` sample line; value kept as text for typed reparse.
+/// One `name{labels} value` sample line; value kept as text for typed
+/// reparse. A histogram bucket's `le` label is dropped from the label set:
+/// the bucket's position in its series already gives its bound.
 struct SampleLine {
-  std::string name;
-  std::string le;  ///< label value when the line carried {le="..."}
+  std::string name;    ///< sample name without its label set
+  std::string labels;  ///< label set without `le`; empty when none
   std::string value;
 };
 
@@ -212,24 +264,19 @@ Result<SampleLine> ParseSampleLine(std::string_view line) {
   }
   if (brace != std::string_view::npos && brace < space) {
     sample.name = std::string(line.substr(0, brace));
-    size_t close = line.find('}', brace);
-    if (close == std::string_view::npos) {
+    size_t close = line.rfind('}');
+    if (close == std::string_view::npos || close < brace) {
       return Status::Invalid("unterminated label set: " + std::string(line));
     }
-    std::string_view labels = line.substr(brace + 1, close - brace - 1);
+    sample.labels = std::string(line.substr(brace + 1, close - brace - 1));
+    // ToPrometheusText writes `le` last, after the series' own labels.
     constexpr std::string_view kLe = "le=\"";
-    size_t le_pos = labels.find(kLe);
-    if (le_pos != std::string_view::npos) {
-      size_t end = labels.find('"', le_pos + kLe.size());
-      if (end == std::string_view::npos) {
+    size_t le_pos = sample.labels.rfind(kLe);
+    if (le_pos != std::string::npos && (le_pos == 0 || sample.labels[le_pos - 1] == ',')) {
+      if (sample.labels.find('"', le_pos + kLe.size()) == std::string::npos) {
         return Status::Invalid("unterminated le label: " + std::string(line));
       }
-      sample.le = std::string(labels.substr(le_pos + kLe.size(), end - le_pos - kLe.size()));
-    } else {
-      // Labels other than the histogram `le` series (e.g. the per-rank
-      // contention gauges) are part of the instrument's registry name;
-      // keep them so the name matches its TYPE header.
-      sample.name = std::string(line.substr(0, close + 1));
+      sample.labels.erase(le_pos == 0 ? 0 : le_pos - 1);
     }
     space = line.find(' ', close);
     if (space == std::string_view::npos) {
@@ -255,9 +302,11 @@ bool ConsumeSuffix(const std::string& name, std::string_view suffix, std::string
 
 Result<MetricsSnapshot> FromPrometheusText(std::string_view text) {
   MetricsSnapshot snap;
-  std::string current_name;
+  std::string current_family;
   std::string current_kind;
-  // Histogram bucket series arrive cumulative; difference them on the fly.
+  // Histogram bucket series arrive cumulative; difference them on the fly,
+  // restarting at each labelled series of the family.
+  std::string current_series;
   uint64_t prev_cumulative = 0;
 
   size_t pos = 0;
@@ -275,31 +324,40 @@ Result<MetricsSnapshot> FromPrometheusText(std::string_view text) {
       if (space == std::string_view::npos) {
         return Status::Invalid("malformed TYPE line: " + std::string(line));
       }
-      current_name = std::string(rest.substr(0, space));
+      current_family = std::string(rest.substr(0, space));
       current_kind = std::string(rest.substr(space + 1));
-      prev_cumulative = 0;
-      if (current_kind == "histogram") snap.histograms[current_name] = HistogramSnapshot{};
+      current_series.clear();
       continue;
     }
     HQ_ASSIGN_OR_RETURN(SampleLine sample, ParseSampleLine(line));
-    if (current_kind == "counter" && sample.name == current_name) {
-      snap.counters[sample.name] = std::strtoull(sample.value.c_str(), nullptr, 10);
-    } else if (current_kind == "gauge" && sample.name == current_name) {
-      snap.gauges[sample.name] = std::strtoll(sample.value.c_str(), nullptr, 10);
+    if (current_kind == "counter" && sample.name == current_family) {
+      snap.counters[JoinSeriesName(sample.name, sample.labels)] =
+          std::strtoull(sample.value.c_str(), nullptr, 10);
+    } else if (current_kind == "gauge" && sample.name == current_family) {
+      snap.gauges[JoinSeriesName(sample.name, sample.labels)] =
+          std::strtoll(sample.value.c_str(), nullptr, 10);
     } else if (current_kind == "histogram") {
       std::string base;
-      if (ConsumeSuffix(sample.name, "_bucket", &base) && base == current_name) {
+      std::string series;
+      if (ConsumeSuffix(sample.name, "_bucket", &base) && base == current_family) {
+        series = JoinSeriesName(base, sample.labels);
+        if (series != current_series) {
+          current_series = series;
+          prev_cumulative = 0;
+        }
         uint64_t cumulative = std::strtoull(sample.value.c_str(), nullptr, 10);
-        auto& hist = snap.histograms[base];
+        auto& hist = snap.histograms[series];
         if (cumulative < prev_cumulative) {
-          return Status::Invalid("non-monotonic bucket series for " + base);
+          return Status::Invalid("non-monotonic bucket series for " + series);
         }
         hist.buckets.push_back(cumulative - prev_cumulative);
         prev_cumulative = cumulative;
-      } else if (ConsumeSuffix(sample.name, "_sum", &base) && base == current_name) {
-        snap.histograms[base].sum = std::strtod(sample.value.c_str(), nullptr);
-      } else if (ConsumeSuffix(sample.name, "_count", &base) && base == current_name) {
-        snap.histograms[base].count = std::strtoull(sample.value.c_str(), nullptr, 10);
+      } else if (ConsumeSuffix(sample.name, "_sum", &base) && base == current_family) {
+        snap.histograms[JoinSeriesName(base, sample.labels)].sum =
+            std::strtod(sample.value.c_str(), nullptr);
+      } else if (ConsumeSuffix(sample.name, "_count", &base) && base == current_family) {
+        snap.histograms[JoinSeriesName(base, sample.labels)].count =
+            std::strtoull(sample.value.c_str(), nullptr, 10);
       } else {
         return Status::Invalid("unexpected sample in histogram block: " + sample.name);
       }

@@ -11,7 +11,10 @@
 /// Serialization of metrics snapshots. Two wire formats:
 ///
 ///  - Prometheus text exposition format (`# TYPE` headers, `_bucket{le=...}`
-///    cumulative histogram series) — what a scrape endpoint would serve.
+///    cumulative histogram series) — what a scrape endpoint would serve. A
+///    registry name `family{labels}` is exported as a labelled series of
+///    `family`: one `# TYPE` line per family, and the series' labels go
+///    before `le` on each bucket sample.
 ///  - A line-oriented JSON document — what the periodic dump hook logs and
 ///    what tooling ingests.
 ///

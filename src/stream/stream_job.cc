@@ -1,39 +1,20 @@
 #include "stream/stream_job.h"
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 
-#include "cloudstore/bulk_loader.h"
-#include "common/fault.h"
 #include "common/logging.h"
 #include "hyperq/conversion_plan.h"
-#include "legacy/errors.h"
 #include "sql/parser.h"
 
 namespace hyperq::stream {
 
 using common::Result;
-using common::Slice;
 using common::Status;
-using core::RecordError;
 
 namespace {
 
-std::string SanitizeId(const std::string& id) {
-  std::string out;
-  for (char c : id) {
-    out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
-  }
-  return out;
-}
-
-Status RecreateTable(cdw::CdwServer* cdw, const std::string& name, const types::Schema& schema) {
-  HQ_RETURN_NOT_OK(cdw->catalog()->DropTable(name, /*if_exists=*/true));
-  return cdw->catalog()->CreateTable(name, schema).status();
-}
-
-/// Zero-padded batch staging prefix ("batch_00000001/"): lexicographic key
+/// Zero-padded batch staging prefix ("batch_00000001"): lexicographic key
 /// order in the COPY ledger is commit order, which is what makes both
 /// eviction paths FIFO.
 std::string BatchPrefix(uint64_t batch_seq) {
@@ -47,104 +28,27 @@ std::string BatchPrefix(uint64_t batch_seq) {
 Result<std::shared_ptr<StreamJob>> StreamJob::Create(const std::string& job_id,
                                                      const legacy::BeginStreamBody& begin,
                                                      core::JobContext ctx) {
-  if (ctx.cdw == nullptr || ctx.store == nullptr) {
-    return Status::Invalid("incomplete stream job context");
-  }
-  // The target table must already exist in the CDW.
-  HQ_RETURN_NOT_OK(ctx.cdw->catalog()->GetTable(begin.target_table).status());
   if (begin.dml_sql.empty()) {
     return Status::Invalid("stream job requires a DML statement (applied per micro-batch)");
   }
   HQ_ASSIGN_OR_RETURN(sql::StatementPtr dml, sql::ParseStatement(begin.dml_sql));
-
-  // Config specs are part of the stream contract: an unparseable fault_spec
-  // or quality spec fails BeginStream loudly (ProtocolError) instead of
-  // silently degrading to "no injection" / "no gate".
-  if (!ctx.options.fault_spec.empty()) {
-    uint64_t seed = 0;
-    std::vector<std::pair<int, common::FaultRule>> rules;
-    Status parsed = common::ParseFaultSpec(ctx.options.fault_spec, &seed, &rules);
-    if (!parsed.ok()) {
-      return Status::ProtocolError("invalid fault_spec: " + parsed.message());
-    }
-  }
-  const core::TableQualitySpec* table_quality = nullptr;
-  core::QualitySpec parsed_quality;
-  if (!ctx.options.quality.spec.empty()) {
-    auto parsed = core::ParseQualitySpec(ctx.options.quality.spec);
-    if (!parsed.ok()) {
-      return Status::ProtocolError("invalid quality spec: " + parsed.status().message());
-    }
-    parsed_quality = std::move(parsed).ValueOrDie();
-    table_quality = core::FindTableQuality(parsed_quality, begin.target_table);
-  }
-
-  HQ_ASSIGN_OR_RETURN(types::Schema staging_schema, core::MakeStagingSchema(begin.layout));
-  HQ_ASSIGN_OR_RETURN(
-      core::DataConverter converter,
-      core::DataConverter::Create(begin.layout, begin.format, begin.delimiter,
-                                  cdw::CsvOptions{}, ctx.options.staging_format,
-                                  table_quality));
-
-  // Per-stream error-handling overrides from the client script.
-  if (begin.max_errors != 0) ctx.options.max_errors = begin.max_errors;
-  if (begin.max_retries != 0) ctx.options.max_retries = begin.max_retries;
-
-  auto job = std::shared_ptr<StreamJob>(new StreamJob(
-      job_id, begin, std::move(ctx), std::move(converter), staging_schema, std::move(dml)));
-  if (table_quality != nullptr) {
-    // Kept so drift-swapped converters recompile the same constraint table.
-    job->table_quality_ = *table_quality;
-  }
-
-  // CDW-side state: one staging table accumulating every micro-batch (the
-  // globally monotone HQ_ROWNUM is what lets per-batch DML ranges compose
-  // into exactly the batch-equivalent apply), plus fresh error tables. A
-  // recreated staging table must not inherit a prior job's COPY ledger.
-  HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->staging_table_, staging_schema));
-  job->ctx_.cdw->ForgetCopies(job->staging_table_);
-  HQ_RETURN_NOT_OK(
-      RecreateTable(job->ctx_.cdw, job->begin_.error_table_et, core::MakeEtErrorSchema()));
-  HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->begin_.error_table_uv,
-                                 core::MakeUvErrorSchema(begin.layout)));
-  if (!job->qrtn_table_.empty()) {
-    // Quarantine table: recreated per stream and NOT dropped at Finish — it
-    // is the operator's record of what the gate rejected and why.
-    HQ_ASSIGN_OR_RETURN(types::Schema qrtn_schema, core::MakeQuarantineSchema(begin.layout));
-    HQ_RETURN_NOT_OK(RecreateTable(job->ctx_.cdw, job->qrtn_table_, qrtn_schema));
-    job->ctx_.cdw->ForgetCopies(job->qrtn_table_);
-  }
-  return job;
+  HQ_ASSIGN_OR_RETURN(core::LoadTail tail,
+                      core::LoadTail::Create(job_id, "HQ_STRM_", "stream/",
+                                             core::LoadTarget::Of(begin), std::move(ctx)));
+  HQ_ASSIGN_OR_RETURN(core::DataConverter converter, tail.Open());
+  return std::shared_ptr<StreamJob>(new StreamJob(std::move(tail), std::move(converter),
+                                                  std::move(dml)));
 }
 
-StreamJob::StreamJob(std::string job_id, legacy::BeginStreamBody begin, core::JobContext ctx,
-                     core::DataConverter converter, types::Schema staging_schema,
-                     sql::StatementPtr dml)
-    : job_id_(std::move(job_id)),
-      begin_(std::move(begin)),
-      ctx_(std::move(ctx)),
+StreamJob::StreamJob(core::LoadTail tail, core::DataConverter converter, sql::StatementPtr dml)
+    : tail_(std::move(tail)),
       converter_(std::move(converter)),
-      staging_schema_(std::move(staging_schema)),
       dml_(std::move(dml)),
-      staging_format_(ctx_.options.staging_format) {
-  staging_table_ = "HQ_STRM_" + SanitizeId(job_id_);
-  remote_prefix_ = "stream/" + SanitizeId(job_id_) + "/";
-  local_dir_ = ctx_.options.local_staging_dir + "/" + SanitizeId(job_id_);
-  const core::CompiledQuality* quality = converter_.quality();
-  if (quality != nullptr) {
-    quality_on_ = true;
-    qrtn_table_ = "HQ_QRTN_" + SanitizeId(job_id_);
-    qrtn_remote_prefix_ = "quarantine/" + SanitizeId(job_id_) + "/";
-    batch_violations_by_id_.assign(quality->num_constraints(), 0);
-    batch_nulls_by_id_.assign(quality->num_constraints(), 0);
-    quality_violations_by_id_.assign(quality->num_constraints(), 0);
-    quality_nulls_by_id_.assign(quality->num_constraints(), 0);
-  }
-  if (begin_.error_table_et.empty()) begin_.error_table_et = begin_.target_table + "_ET";
-  if (begin_.error_table_uv.empty()) begin_.error_table_uv = begin_.target_table + "_UV";
-  if (ctx_.tracer != nullptr) trace_ = ctx_.tracer->StartTrace(job_id_, obs::Phase::kImport);
-  if (ctx_.metrics != nullptr) {
-    obs::MetricsRegistry* r = ctx_.metrics;
+      staging_format_(tail_.ctx().options.staging_format),
+      active_(tail_.ctx().metrics == nullptr
+                  ? nullptr
+                  : tail_.ctx().metrics->GetGauge("hyperq_stream_jobs_active")) {
+  if (obs::MetricsRegistry* r = tail_.ctx().metrics; r != nullptr) {
     m_.chunks = r->GetCounter("hyperq_stream_chunks_total");
     m_.rows_received = r->GetCounter("hyperq_stream_rows_received_total");
     m_.batches_committed = r->GetCounter("hyperq_stream_batches_committed_total");
@@ -157,28 +61,9 @@ StreamJob::StreamJob(std::string job_id, legacy::BeginStreamBody begin, core::Jo
     m_.format_fallbacks = r->GetCounter("hyperq_stream_format_fallback_total");
     m_.batch_latency = r->GetHistogram("hyperq_stream_batch_latency_seconds");
     m_.watermark_lag = r->GetGauge("hyperq_stream_watermark_lag_seconds");
-    m_.jobs_active = r->GetGauge("hyperq_stream_jobs_active");
-    if (quality != nullptr) {
-      m_.rows_quarantined = r->GetCounter("hyperq_quality_rows_quarantined_total");
+    if (tail_.quality_on()) {
       m_.batches_rejected = r->GetCounter("hyperq_stream_batches_rejected_total");
-      m_.violation_rate_bp = r->GetGauge("hyperq_quality_violation_rate_bp");
-      m_.quality_violations.reserve(quality->num_constraints());
-      for (size_t id = 0; id < quality->num_constraints(); ++id) {
-        const core::QualityConstraintInfo& info = quality->constraint(id);
-        m_.quality_violations.push_back(r->GetCounter(
-            "hyperq_quality_violations_total{constraint=\"" + std::to_string(id) + ":" +
-            std::string(core::QualityKindName(info.kind)) + ":" + info.column + "\"}"));
-      }
     }
-    m_.jobs_active->Add(1);
-  }
-}
-
-StreamJob::~StreamJob() { ReleaseActiveGauge(); }
-
-void StreamJob::ReleaseActiveGauge() {
-  if (m_.jobs_active != nullptr && active_gauge_held_.exchange(false)) {
-    m_.jobs_active->Sub(1);
   }
 }
 
@@ -194,28 +79,13 @@ void StreamJob::ReleaseBusy() {
   busy_cv_.NotifyAll();
 }
 
-common::RetryPolicy StreamJob::MakeIoRetry(const char* breaker_endpoint) const {
-  common::RetryOptions options = ctx_.options.io_retry;
-  options.breaker = common::BreakerFor(breaker_endpoint);
-  if (trace_ != nullptr) {
-    std::shared_ptr<obs::Trace> trace = trace_;
-    options.on_backoff = [trace](std::string_view point, int attempt, uint64_t sleep_micros) {
-      auto start = std::chrono::steady_clock::now();
-      trace->RecordSpan(obs::Phase::kRetryBackoff,
-                        "retry:" + std::string(point) + "#" + std::to_string(attempt), 0, start,
-                        start + std::chrono::microseconds(sleep_micros));
-    };
-  }
-  return common::RetryPolicy(std::move(options));
-}
-
 Status StreamJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   BusyToken busy(this);
   // A failed commit keeps its sealed batch for retry; accepting re-sent
   // copies of those rows here would stage them twice.
   if (sealed_.has_value()) {
     return Status::ProtocolError(
-        "stream " + job_id_ + ": commit of batch " + std::to_string(sealed_->batch_seq) +
+        "stream " + job_id() + ": commit of batch " + std::to_string(sealed_->batch_seq) +
         " failed and is pending retry; re-send CommitBatch, not chunks");
   }
   uint64_t order;
@@ -223,7 +93,7 @@ Status StreamJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   uint64_t batch_seq;
   {
     common::MutexLock lock(&mu_);
-    if (finished_) return Status::Invalid("stream " + job_id_ + " already ended");
+    if (finished_) return Status::Invalid("stream " + job_id() + " already ended");
     HQ_RETURN_NOT_OK(poison_);
     order = chunk_counter_++;
     first_row = row_counter_ + 1;
@@ -237,17 +107,11 @@ Status StreamJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
     m_.rows_received->Increment(chunk.row_count);
   }
 
-  if (batch_writer_ == nullptr) {
+  if (lane_.data == nullptr) {
     batch_open_ = std::chrono::steady_clock::now();
-    core::FileWriterOptions fw_options;
-    fw_options.directory = local_dir_;
-    fw_options.file_size_threshold = ctx_.options.file_size_threshold;
-    fw_options.compress = ctx_.options.compress_staging_files;
-    fw_options.file_extension = cdw::StagingFileExtension(staging_format_);
-    fw_options.trace = trace_;
-    fw_options.trace_parent = trace_ == nullptr ? 0 : trace_->root_id();
-    batch_writer_ =
-        std::make_unique<core::FileWriter>(fw_options, BatchPrefix(batch_seq));
+    lane_.name = BatchPrefix(batch_seq);
+    lane_.qrtn_name = lane_.name + "_qrtn";
+    lane_.format = staging_format_;
   }
 
   // Synchronous conversion on the session thread: micro-batches are small by
@@ -258,125 +122,36 @@ Status StreamJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   input.order_index = order;
   input.first_row_number = first_row;
   input.chunk = chunk;
-  HQ_ASSIGN_OR_RETURN(core::ConvertedChunk converted, converter_.Convert(input, ctx_.buffers));
-
-  // Transient staging-disk failures are retried; exhausted retries degrade
-  // into an ET row (code 9058) instead of failing the stream — the same
-  // graceful-degradation contract as the batch path.
-  common::RetryPolicy retry = MakeIoRetry("staging_disk");
-  Status appended = retry.Run("bulkload.file", [&](const common::RetryAttempt&) {
-    return batch_writer_->Append(converted.csv.AsSlice(), &batch_files_);
-  });
-  if (ctx_.buffers != nullptr) {
-    ctx_.buffers->Release(std::move(converted.csv.vector()));
-  }
-  size_t new_errors = converted.errors.size();
-  if (!appended.ok()) {
-    if (!common::IsRetryableStatus(appended)) return appended;
-    // The conversion errors still describe real input rows; keep them
-    // alongside the abandonment marker so the ET table matches the counts.
-    for (auto& e : converted.errors) batch_errors_.push_back(std::move(e));
-    RecordError abandoned;
-    abandoned.row_number = first_row;
-    abandoned.code = legacy::kErrChunkAbandoned;
-    abandoned.message = "chunk abandoned after staging retries: " + appended.message();
-    batch_errors_.push_back(std::move(abandoned));
-    ++new_errors;
-    common::MutexLock lock(&mu_);
-    ++stats_.chunks_abandoned;
-  } else {
-    batch_rows_staged_ += converted.rows_out;
-    for (auto& e : converted.errors) batch_errors_.push_back(std::move(e));
-    const core::CompiledQuality* cq = converter_.quality();
-    if (cq != nullptr) {
-      // Merge the chunk's quality counters into the open batch (id-keyed, so
-      // aggregates survive drift-swapped converters), then persist its
-      // quarantine rows through the same disk/retry path.
-      const core::ChunkQuality& q = converted.quality;
-      batch_quality_rows_checked_ += q.rows_checked;
-      batch_rows_quarantined_ += q.rows_quarantined;
-      for (size_t id = 0; id < q.violations_by_id.size(); ++id) {
-        batch_violations_by_id_[id] += q.violations_by_id[id];
-      }
-      for (const core::CompiledQuality::NullRateCeiling& nr : cq->null_rate_ceilings()) {
-        if (nr.field < q.field_nulls.size()) batch_nulls_by_id_[nr.id] += q.field_nulls[nr.field];
-      }
-      if (q.rows_quarantined != 0) {
-        if (batch_qrtn_writer_ == nullptr) {
-          core::FileWriterOptions q_options;
-          q_options.directory = local_dir_;
-          q_options.file_size_threshold = ctx_.options.file_size_threshold;
-          q_options.compress = ctx_.options.compress_staging_files;
-          q_options.file_extension = cdw::StagingFileExtension(cdw::StagingFormat::kCsv);
-          q_options.trace = trace_;
-          q_options.trace_parent = trace_ == nullptr ? 0 : trace_->root_id();
-          batch_qrtn_writer_ = std::make_unique<core::FileWriter>(
-              q_options, BatchPrefix(batch_seq) + "_qrtn");
-        }
-        common::RetryPolicy qrtn_retry = MakeIoRetry("staging_disk");
-        Status q_appended = qrtn_retry.Run("bulkload.file", [&](const common::RetryAttempt&) {
-          return batch_qrtn_writer_->Append(converted.qrtn.AsSlice(), &batch_qrtn_files_);
-        });
-        if (q_appended.ok()) {
-          batch_qrtn_rows_staged_ += q.rows_quarantined;
-        } else if (common::IsRetryableStatus(q_appended)) {
-          core::RecordError abandoned;
-          abandoned.row_number = first_row;
-          abandoned.code = legacy::kErrChunkAbandoned;
-          abandoned.message =
-              "quarantine rows abandoned after staging retries: " + q_appended.message();
-          batch_errors_.push_back(std::move(abandoned));
-          ++new_errors;
-          common::MutexLock lock(&mu_);
-          ++stats_.chunks_abandoned;
-        } else {
-          return q_appended;
-        }
-      }
-      if (m_.rows_quarantined != nullptr && q.rows_quarantined != 0) {
-        m_.rows_quarantined->Increment(q.rows_quarantined);
-      }
-      if (!m_.quality_violations.empty()) {
-        for (size_t id = 0; id < q.violations_by_id.size(); ++id) {
-          if (q.violations_by_id[id] != 0) {
-            m_.quality_violations[id]->Increment(q.violations_by_id[id]);
-          }
-        }
-      }
-      common::MutexLock lock(&mu_);
-      stats_.rows_quarantined += q.rows_quarantined;
-    }
-  }
-  ++batch_chunks_;
-  if (new_errors != 0) {
-    if (m_.data_errors != nullptr) m_.data_errors->Increment(new_errors);
+  HQ_ASSIGN_OR_RETURN(core::ConvertedChunk converted,
+                      converter_.Convert(input, tail_.ctx().buffers));
+  core::SealedBatch staged;
+  Status s = tail_.StageChunk(std::move(converted), converter_.quality(), &lane_, &staged);
+  const uint64_t new_errors = staged.errors.size();
+  if (m_.data_errors != nullptr && new_errors != 0) m_.data_errors->Increment(new_errors);
+  {
     common::MutexLock lock(&mu_);
     stats_.data_errors += new_errors;
+    stats_.chunks_abandoned += staged.chunks_abandoned;
+    stats_.rows_quarantined += staged.quality.rows_quarantined;
   }
-  return Status::OK();
+  open_.Merge(std::move(staged));
+  return s;
 }
 
 Status StreamJob::ChangeLayout(const types::Schema& layout) {
   BusyToken busy(this);
   {
     common::MutexLock lock(&mu_);
-    if (finished_) return Status::Invalid("stream " + job_id_ + " already ended");
+    if (finished_) return Status::Invalid("stream " + job_id() + " already ended");
     HQ_RETURN_NOT_OK(poison_);
   }
   if (layout == converter_.layout()) return Status::OK();  // no drift
 
   // Drift-swapped converters recompile the same quality constraints: ids are
   // spec-ordered, so the id-keyed aggregates keep composing across windows.
-  const core::TableQualitySpec* quality = quality_on_ ? &table_quality_ : nullptr;
-  Result<core::DataConverter> next =
-      layout == begin_.layout
-          ? core::DataConverter::Create(layout, begin_.format, begin_.delimiter,
-                                        cdw::CsvOptions{}, staging_format_, quality)
-          : core::DataConverter::CreateRemapped(layout, begin_.layout, begin_.format,
-                                                begin_.delimiter, cdw::CsvOptions{},
-                                                staging_format_, quality);
+  Result<core::DataConverter> next = tail_.MakeConverter(layout, staging_format_);
   if (!next.ok() && staging_format_ == cdw::StagingFormat::kBinary &&
-      layout != begin_.layout) {
+      layout != tail_.target().layout) {
     // Format negotiation: type-changing drift cannot be encoded into the
     // staging table's typed binary columns, so the session falls back to csv
     // staging (permanently — a later drift back would otherwise recreate the
@@ -384,11 +159,11 @@ Status StreamJob::ChangeLayout(const types::Schema& layout) {
     // open staging file is finalized first so every staged object stays
     // single-format; COPY sniffs the format per object, so the resulting
     // mixed-format batch prefix loads and dedups correctly.
-    HQ_LOG_WARN() << "stream " << job_id_ << ": " << next.status().message()
+    HQ_LOG_WARN() << "stream " << job_id() << ": " << next.status().message()
                   << " — falling back to csv staging for this session";
-    if (batch_writer_ != nullptr) {
-      HQ_RETURN_NOT_OK(batch_writer_->Finish(&batch_files_));
-      batch_writer_ = nullptr;
+    if (lane_.data != nullptr) {
+      HQ_RETURN_NOT_OK(lane_.data->Finish(&open_.files));
+      lane_.data = nullptr;
     }
     staging_format_ = cdw::StagingFormat::kCsv;
     if (m_.format_fallbacks != nullptr) m_.format_fallbacks->Increment();
@@ -396,9 +171,7 @@ Status StreamJob::ChangeLayout(const types::Schema& layout) {
       common::MutexLock lock(&mu_);
       ++stats_.format_fallbacks;
     }
-    next = core::DataConverter::CreateRemapped(layout, begin_.layout, begin_.format,
-                                               begin_.delimiter, cdw::CsvOptions{},
-                                               cdw::StagingFormat::kCsv, quality);
+    next = tail_.MakeConverter(layout, cdw::StagingFormat::kCsv);
   }
   HQ_RETURN_NOT_OK(next.status());
   converter_ = std::move(next).ValueOrDie();
@@ -407,7 +180,7 @@ Status StreamJob::ChangeLayout(const types::Schema& layout) {
   const size_t dropped = plan.dropped_source_fields();
   const size_t nulled = plan.nulled_target_fields();
   if (plan.remapped()) {
-    HQ_LOG_WARN() << "stream " << job_id_ << ": layout drift to " << layout.ToString()
+    HQ_LOG_WARN() << "stream " << job_id() << ": layout drift to " << layout.ToString()
                   << " — remapping by name (" << dropped << " source field(s) dropped, "
                   << nulled << " target field(s) nulled)";
     if (m_.remap_total != nullptr) {
@@ -428,7 +201,7 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
   BusyToken busy(this);
   {
     common::MutexLock lock(&mu_);
-    if (finished_) return Status::Invalid("stream " + job_id_ + " already ended");
+    if (finished_) return Status::Invalid("stream " + job_id() + " already ended");
     HQ_RETURN_NOT_OK(poison_);
     // Client replay of a committed batch (lost BatchCommitted reply): the
     // journal answers; nothing downstream runs again.
@@ -470,47 +243,23 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
 }
 
 Status StreamJob::SealOpenBatch(uint64_t batch_seq) {
-  SealedBatch sealed;
-  sealed.batch_seq = batch_seq;
-  sealed.open_time = batch_chunks_ != 0 ? batch_open_ : std::chrono::steady_clock::now();
-  std::unique_ptr<core::FileWriter> writer = std::move(batch_writer_);
-  sealed.files = std::move(batch_files_);
-  batch_files_.clear();
-  sealed.errors = std::move(batch_errors_);
-  batch_errors_.clear();
-  sealed.rows_staged = batch_rows_staged_;
-  batch_rows_staged_ = 0;
-  batch_chunks_ = 0;
-  sealed.first_row = committed_row_high_ + 1;
+  PendingCommit pending;
+  pending.batch_seq = batch_seq;
+  pending.open_time = open_.chunks != 0 ? batch_open_ : std::chrono::steady_clock::now();
+  pending.batch = std::move(open_);
+  open_ = core::SealedBatch{};
+  pending.batch.first_row = committed_row_high_ + 1;
   {
     common::MutexLock lock(&mu_);
-    sealed.last_row = row_counter_;
+    pending.batch.last_row = row_counter_;
   }
-  std::unique_ptr<core::FileWriter> qrtn_writer = std::move(batch_qrtn_writer_);
-  sealed.qrtn_files = std::move(batch_qrtn_files_);
-  batch_qrtn_files_.clear();
-  sealed.quality_rows_checked = batch_quality_rows_checked_;
-  sealed.rows_quarantined = batch_rows_quarantined_;
-  sealed.qrtn_rows_staged = batch_qrtn_rows_staged_;
-  sealed.violations_by_id = std::move(batch_violations_by_id_);
-  sealed.nulls_by_id = std::move(batch_nulls_by_id_);
-  batch_quality_rows_checked_ = 0;
-  batch_rows_quarantined_ = 0;
-  batch_qrtn_rows_staged_ = 0;
-  batch_violations_by_id_.assign(sealed.violations_by_id.size(), 0);
-  batch_nulls_by_id_.assign(sealed.nulls_by_id.size(), 0);
-  if (writer != nullptr) {
-    HQ_RETURN_NOT_OK(writer->Finish(&sealed.files));
-  }
-  if (qrtn_writer != nullptr) {
-    HQ_RETURN_NOT_OK(qrtn_writer->Finish(&sealed.qrtn_files));
-  }
-  sealed_ = std::move(sealed);
+  HQ_RETURN_NOT_OK(tail_.CloseLane(&lane_, &pending.batch));
+  sealed_ = std::move(pending);
   return Status::OK();
 }
 
 void StreamJob::Poison(const Status& cause) {
-  Status poison = Status::Internal("stream " + job_id_ +
+  Status poison = Status::Internal("stream " + job_id() +
                                    " poisoned by unrecoverable commit failure: " +
                                    cause.message());
   HQ_LOG_ERROR() << poison.message();
@@ -524,12 +273,9 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   // per-table ledger, and ET inserts resume at errors_recorded. Open-batch
   // members stay untouched, so a failed attempt can't corrupt the next
   // batch's accounting — and the sealed batch survives for the retry.
-  SealedBatch& sealed = *sealed_;
-  const uint64_t batch_seq = sealed.batch_seq;
-  const std::vector<core::FinalizedFile>& files = sealed.files;
-  const uint64_t rows_staged = sealed.rows_staged;
-  const uint64_t first_row = sealed.first_row;
-  const uint64_t last_row = sealed.last_row;
+  core::SealedBatch& batch = sealed_->batch;
+  const uint64_t batch_seq = sealed_->batch_seq;
+  const core::HyperQOptions& options = tail_.ctx().options;
 
   // Per-micro-batch degradation policy: a batch whose violation rate exceeds
   // the per-batch watermark is rejected — its quarantine rows still ship (the
@@ -537,123 +283,29 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   // so a drifting upstream poisons only the offending batch, not the stream.
   // The decision is a pure function of sealed state: every commit attempt of
   // this batch decides the same way.
-  const double batch_rate =
-      sealed.quality_rows_checked == 0
-          ? 0.0
-          : static_cast<double>(sealed.rows_quarantined) /
-                static_cast<double>(sealed.quality_rows_checked);
-  const bool rejected = quality_on_ && ctx_.options.quality.abort_over_threshold &&
-                        batch_rate > ctx_.options.quality.batch_max_violation_rate;
+  const double batch_rate = batch.quality.violation_rate();
+  const bool rejected = tail_.quality_on() && options.quality.abort_over_threshold &&
+                        batch_rate > options.quality.batch_max_violation_rate;
 
-  // Upload this batch's files under its own zero-padded prefix — the scope
-  // of the COPY below and the unit of ledger eviction. Quarantine files ride
-  // the same put batch under their own per-batch prefix; a rejected batch
-  // uploads only those.
-  const std::string batch_prefix = remote_prefix_ + BatchPrefix(batch_seq) + "/";
-  const std::string qrtn_batch_prefix = qrtn_remote_prefix_ + BatchPrefix(batch_seq) + "/";
-  std::vector<std::vector<uint8_t>> payloads;
-  std::vector<std::pair<std::string, Slice>> batch;
-  payloads.reserve(files.size() + sealed.qrtn_files.size());
-  auto stage_for_upload = [&](const std::vector<core::FinalizedFile>& local,
-                              const std::string& prefix) -> Status {
-    for (const auto& f : local) {
-      HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, cloud::ReadFileBytes(f.path));
-      payloads.push_back(std::move(bytes));
-      std::string name = f.path;
-      size_t slash = name.find_last_of('/');
-      if (slash != std::string::npos) name = name.substr(slash + 1);
-      batch.emplace_back(prefix + name, Slice(payloads.back()));
-    }
-    return Status::OK();
-  };
-  if (!rejected) HQ_RETURN_NOT_OK(stage_for_upload(files, batch_prefix));
-  HQ_RETURN_NOT_OK(stage_for_upload(sealed.qrtn_files, qrtn_batch_prefix));
-  if (!batch.empty()) {
-    obs::ScopedSpan upload_span(trace_.get(), obs::Phase::kStorePut, "upload");
-    // Resume-aware retry: each attempt re-uploads only the objects not yet
-    // known durable (re-putting a lost-ack object is an idempotent
-    // overwrite).
-    size_t start = 0;
-    common::RetryPolicy retry = MakeIoRetry("objstore");
-    HQ_RETURN_NOT_OK(retry.Run("objstore.put", [&](const common::RetryAttempt&) {
-      std::vector<std::pair<std::string, Slice>> rest(batch.begin() + static_cast<long>(start),
-                                                      batch.end());
-      size_t applied = 0;
-      Status put = ctx_.store->PutBatch(rest, &applied);
-      if (!put.ok()) start += applied;
-      return put;
-    }));
-  }
-
-  // COPY the batch into the accumulating staging table. Safe to retry after
-  // a lost ack: the per-table ledger skips already-ingested objects, and the
-  // per-batch prefix scopes the cumulative count to exactly this batch.
-  uint64_t copied = 0;
-  if (!rejected && !files.empty()) {
-    obs::ScopedSpan copy_span(trace_.get(), obs::Phase::kCdwCopy, "copy");
-    // Default CopyFormat::kAuto on purpose: a batch cut across a format
-    // fallback holds both .hqb and .csv objects, and auto sniffs per object.
-    common::RetryPolicy retry = MakeIoRetry("cdw");
-    HQ_ASSIGN_OR_RETURN(copied,
-                        retry.RunResult<uint64_t>("cdw.copy", [&](const common::RetryAttempt&) {
-                          return ctx_.cdw->CopyInto(staging_table_, batch_prefix);
-                        }));
-  }
-  if (!rejected && copied != rows_staged) {
-    return Status::Internal("micro-batch COPY loaded " + std::to_string(copied) +
-                            " rows, staged " + std::to_string(rows_staged));
-  }
-
-  // COPY this batch's quarantine rows (always CSV) into the job's quarantine
-  // table. Same ledger idempotence as the main COPY, scoped to the batch's
-  // own quarantine prefix.
-  if (sealed.qrtn_rows_staged != 0) {
-    obs::ScopedSpan qrtn_span(trace_.get(), obs::Phase::kCdwCopy, "copy_quarantine");
-    cdw::CopyOptions copy_options;
-    copy_options.format = cdw::CopyFormat::kCsv;
-    common::RetryPolicy retry = MakeIoRetry("cdw");
-    uint64_t qrtn_copied = 0;
-    HQ_ASSIGN_OR_RETURN(
-        qrtn_copied, retry.RunResult<uint64_t>("cdw.copy", [&](const common::RetryAttempt&) {
-          return ctx_.cdw->CopyInto(qrtn_table_, qrtn_batch_prefix, copy_options);
-        }));
-    if (qrtn_copied != sealed.qrtn_rows_staged) {
-      return Status::Internal("quarantine COPY loaded " + std::to_string(qrtn_copied) +
-                              " rows, staged " + std::to_string(sealed.qrtn_rows_staged));
-    }
-  }
+  // Ship this batch under its own zero-padded prefix — the scope of its
+  // COPY and the unit of ledger eviction. CopyFormat::kAuto on purpose: a
+  // batch cut across a format fallback holds both .hqb and .csv objects, and
+  // auto sniffs per object.
+  const std::string batch_dir = BatchPrefix(batch_seq) + "/";
+  HQ_RETURN_NOT_OK(
+      tail_.Ship(batch, batch_dir, cdw::CopyFormat::kAuto, /*load_rows=*/!rejected).status());
 
   // Record this batch's data errors in the ET table, then apply the stream
   // DML over exactly the batch's row range. Sequential inclusive ranges over
   // the monotone HQ_ROWNUM partition the stream, so the union of per-batch
   // applies equals one whole-table apply (the batch-equivalence invariant
-  // the drift e2e checks). errors_recorded advances per durable insert, so a
-  // retried commit resumes instead of duplicating ET rows.
-  common::RetryPolicy exec_retry = MakeIoRetry("cdw");
-  for (; sealed.errors_recorded < sealed.errors.size(); ++sealed.errors_recorded) {
-    const RecordError& e = sealed.errors[sealed.errors_recorded];
-    std::string sql_text =
-        "INSERT INTO " + begin_.error_table_et + " VALUES (" + std::to_string(e.code) + ", " +
-        (e.field.empty() ? std::string("NULL") : core::SqlQuote(e.field)) + ", " +
-        core::SqlQuote(e.message + " (input row number: " + std::to_string(e.row_number) + ")") +
-        ")";
-    HQ_RETURN_NOT_OK(exec_retry.Run("cdw.exec", [&](const common::RetryAttempt&) {
-      return ctx_.cdw->ExecuteSql(sql_text).status();
-    }));
-  }
-
+  // the drift e2e checks).
+  HQ_RETURN_NOT_OK(tail_.RecordErrors(&batch));
   core::DmlApplyResult dml;
-  if (!rejected && last_row >= first_row) {
-    obs::ScopedSpan apply_span(trace_.get(), obs::Phase::kDmlApply, "apply");
-    core::AdaptiveOptions adaptive;
-    adaptive.max_errors = ctx_.options.max_errors;
-    adaptive.max_retries = ctx_.options.max_retries;
-    adaptive.enforce_uniqueness = ctx_.options.enforce_uniqueness;
-    adaptive.io_retry = ctx_.options.io_retry;
-    core::AdaptiveDmlApplier applier(ctx_.cdw, dml_.get(), begin_.layout, staging_table_,
-                                     begin_.target_table, begin_.error_table_et,
-                                     begin_.error_table_uv, adaptive);
-    Result<core::DmlApplyResult> applied = applier.Apply(first_row, last_row);
+  const bool apply = !rejected && batch.last_row >= batch.first_row;
+  if (apply) {
+    obs::ScopedSpan apply_span(tail_.trace().get(), obs::Phase::kDmlApply, "apply");
+    Result<core::DmlApplyResult> applied = tail_.Apply(*dml_, batch.first_row, batch.last_row);
     if (!applied.ok()) {
       // The one non-idempotent stage: partial DML effects can't be re-run
       // safely, so the stream dies loudly instead of risking double-apply.
@@ -667,9 +319,9 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   // Retire the sealed batch, advance the committed row high-water mark, and
   // drop ledger entries that have fallen out of the replay window so
   // arbitrarily long streams keep a bounded ledger.
-  for (const auto& f : files) std::remove(f.path.c_str());
-  for (const auto& f : sealed.qrtn_files) std::remove(f.path.c_str());
-  committed_row_high_ = last_row;
+  tail_.RemoveLocalFiles(batch);
+  committed_row_high_ = batch.last_row;
+  cdw::CdwServer* cdw = tail_.ctx().cdw;
 
   // Prune the applied rows from the accumulating staging table. Every later
   // batch addresses a strictly higher HQ_ROWNUM range and a replayed commit
@@ -678,31 +330,32 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   // each batch's COPY count check and DML range scan cost O(stream) instead
   // of O(batch). Best-effort: a failed prune costs latency, not rows.
   uint64_t pruned = 0;
-  if (!rejected && last_row >= first_row) {
-    Result<cdw::ExecResult> del = ctx_.cdw->ExecuteSql(
-        "DELETE FROM " + staging_table_ + " WHERE HQ_ROWNUM <= " + std::to_string(last_row));
+  if (apply) {
+    Result<cdw::ExecResult> del =
+        cdw->ExecuteSql("DELETE FROM " + tail_.staging_table() +
+                        " WHERE HQ_ROWNUM <= " + std::to_string(batch.last_row));
     if (del.ok()) {
       pruned = del.ValueOrDie().rows_deleted;
     } else {
-      HQ_LOG_WARN() << "stream " << job_id_ << ": staging prune failed (non-fatal): "
+      HQ_LOG_WARN() << "stream " << job_id() << ": staging prune failed (non-fatal): "
                     << del.status().message();
     }
   }
 
   uint64_t evicted = 0;
   if (!rejected) {
-    ledgered_prefixes_.push_back(batch_prefix);
-    const size_t keep = std::max<size_t>(1, ctx_.options.stream_ledger_keep_batches);
+    ledgered_prefixes_.push_back(tail_.remote_prefix() + batch_dir);
+    const size_t keep = std::max<size_t>(1, options.stream_ledger_keep_batches);
     while (ledgered_prefixes_.size() > keep) {
-      ctx_.cdw->ForgetCopiesWithPrefix(staging_table_, ledgered_prefixes_.front());
+      cdw->ForgetCopiesWithPrefix(tail_.staging_table(), ledgered_prefixes_.front());
       ledgered_prefixes_.pop_front();
       ++evicted;
     }
   }
-  if (sealed.qrtn_rows_staged != 0) {
+  if (batch.qrtn_rows_staged != 0) {
     // Replays of this commit are answered from the journal without re-running
     // COPY, so the quarantine ledger entries are dead weight once durable.
-    ctx_.cdw->ForgetCopiesWithPrefix(qrtn_table_, qrtn_batch_prefix);
+    cdw->ForgetCopiesWithPrefix(tail_.quarantine_table(), tail_.quarantine_prefix() + batch_dir);
   }
 
   last_watermark_ = watermark_micros;
@@ -711,13 +364,11 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
       std::chrono::duration_cast<std::chrono::microseconds>(now_wall).count();
   const int64_t lag_micros = wall_micros - static_cast<int64_t>(watermark_micros);
   const double batch_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sealed.open_time)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - sealed_->open_time)
           .count();
-  const size_t batch_errors = sealed.errors.size();
-  const uint64_t q_rows_checked = sealed.quality_rows_checked;
-  const uint64_t q_rows_quarantined = sealed.rows_quarantined;
-  std::vector<uint64_t> q_violations = std::move(sealed.violations_by_id);
-  std::vector<uint64_t> q_nulls = std::move(sealed.nulls_by_id);
+  const uint64_t rows_staged = batch.rows_staged;
+  const size_t batch_errors = batch.errors.size();
+  const core::QualityTally batch_quality = std::move(batch.quality);
   sealed_.reset();
 
   legacy::BatchCommittedBody reply;
@@ -741,21 +392,15 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
     if (!rejected) stats_.rows_committed += rows_staged;
     stats_.ledger_evictions += evicted;
     stats_.staging_rows_pruned += pruned;
-    quality_rows_checked_ += q_rows_checked;
-    for (size_t id = 0; id < q_violations.size() && id < quality_violations_by_id_.size(); ++id) {
-      quality_violations_by_id_[id] += q_violations[id];
-    }
-    for (size_t id = 0; id < q_nulls.size() && id < quality_nulls_by_id_.size(); ++id) {
-      quality_nulls_by_id_[id] += q_nulls[id];
-    }
+    quality_.Add(batch_quality);
     reply.rows_total =
         dml_totals_.rows_inserted + dml_totals_.rows_updated + dml_totals_.rows_deleted;
     reply.et_errors = dml_totals_.et_errors + data_errors_recorded_;
     reply.message =
         rejected ? "batch " + std::to_string(batch_seq) + " rejected by quality gate (" +
-                       std::to_string(q_rows_quarantined) + "/" +
-                       std::to_string(q_rows_checked) + " rows quarantined to " + qrtn_table_ +
-                       ")"
+                       std::to_string(batch_quality.rows_quarantined) + "/" +
+                       std::to_string(batch_quality.rows_checked) + " rows quarantined to " +
+                       tail_.quarantine_table() + ")"
                  : "batch " + std::to_string(batch_seq) + " committed";
     committed_batches_[batch_seq] = reply;
   }
@@ -769,9 +414,7 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
     m_.batch_latency->Observe(batch_seconds);
     m_.watermark_lag->Set(std::max<int64_t>(0, lag_micros / 1000000));
   }
-  if (m_.violation_rate_bp != nullptr && q_rows_checked != 0) {
-    m_.violation_rate_bp->Set(batch_rate * 10000);
-  }
+  if (batch_quality.rows_checked != 0) tail_.NoteViolationRate(batch_rate);
   return reply;
 }
 
@@ -779,7 +422,7 @@ Result<legacy::JobReportBody> StreamJob::Finish(uint64_t total_chunks, uint64_t 
   BusyToken busy(this);
   {
     common::MutexLock lock(&mu_);
-    if (finished_) return Status::Invalid("stream " + job_id_ + " already ended");
+    if (finished_) return Status::Invalid("stream " + job_id() + " already ended");
     HQ_RETURN_NOT_OK(poison_);
     if (total_chunks != 0 && total_chunks != chunk_counter_) {
       return Status::ProtocolError("client reported " + std::to_string(total_chunks) +
@@ -790,14 +433,13 @@ Result<legacy::JobReportBody> StreamJob::Finish(uint64_t total_chunks, uint64_t 
                                    " rows, received " + std::to_string(row_counter_));
     }
   }
-  if (batch_chunks_ != 0 || batch_writer_ != nullptr || sealed_.has_value()) {
+  if (open_.chunks != 0 || lane_.data != nullptr || sealed_.has_value()) {
     return Status::ProtocolError(
         "stream ended with an uncommitted micro-batch; send CommitBatch before EndStream");
   }
 
   // Stream-scoped scratch state goes with the stream.
-  HQ_RETURN_NOT_OK(ctx_.cdw->catalog()->DropTable(staging_table_, /*if_exists=*/true));
-  ctx_.cdw->ForgetCopies(staging_table_);
+  HQ_RETURN_NOT_OK(tail_.DropStaging());
 
   legacy::JobReportBody report;
   {
@@ -808,11 +450,11 @@ Result<legacy::JobReportBody> StreamJob::Finish(uint64_t total_chunks, uint64_t 
     report.rows_deleted = dml_totals_.rows_deleted;
     report.et_errors = dml_totals_.et_errors + data_errors_recorded_;
     report.uv_errors = dml_totals_.uv_errors;
-    report.message = "stream " + job_id_ + " complete (" +
+    report.message = "stream " + job_id() + " complete (" +
                      std::to_string(stats_.batches_committed) + " micro-batches)";
   }
-  ReleaseActiveGauge();
-  if (trace_ != nullptr) trace_->Finish();
+  active_.Release();
+  if (tail_.trace() != nullptr) tail_.trace()->Finish();
   return report;
 }
 
@@ -828,45 +470,14 @@ core::QualityJobReport StreamJob::quality_report() {
   const core::CompiledQuality* cq = converter_.quality();
   if (cq == nullptr) return core::QualityJobReport{};
   // All-time view: committed batches + the sealed batch (if a commit is
-  // pending retry) + the open batch, to match stats_.rows_quarantined which
-  // counts at submit time.
-  uint64_t rows_checked = batch_quality_rows_checked_;
-  std::vector<uint64_t> violations_by_id = batch_violations_by_id_;
-  std::vector<uint64_t> nulls_by_id = batch_nulls_by_id_;
-  if (sealed_.has_value()) {
-    rows_checked += sealed_->quality_rows_checked;
-    for (size_t id = 0; id < sealed_->violations_by_id.size() && id < violations_by_id.size();
-         ++id) {
-      violations_by_id[id] += sealed_->violations_by_id[id];
-    }
-    for (size_t id = 0; id < sealed_->nulls_by_id.size() && id < nulls_by_id.size(); ++id) {
-      nulls_by_id[id] += sealed_->nulls_by_id[id];
-    }
-  }
-  uint64_t rows_quarantined = 0;
+  // pending retry) + the open batch.
+  core::QualityTally all = open_.quality;
+  if (sealed_.has_value()) all.Add(sealed_->batch.quality);
   {
     common::MutexLock lock(&mu_);
-    rows_checked += quality_rows_checked_;
-    rows_quarantined = stats_.rows_quarantined;
-    for (size_t id = 0; id < quality_violations_by_id_.size() && id < violations_by_id.size();
-         ++id) {
-      violations_by_id[id] += quality_violations_by_id_[id];
-    }
-    for (size_t id = 0; id < quality_nulls_by_id_.size() && id < nulls_by_id.size(); ++id) {
-      nulls_by_id[id] += quality_nulls_by_id_[id];
-    }
+    all.Add(quality_);
   }
-  // BuildQualityJobReport takes field-indexed null counts; reconstruct them
-  // from the id-keyed totals (ids are stable across drift recompiles, field
-  // indices are not).
-  std::vector<uint64_t> field_nulls(cq->num_fields(), 0);
-  for (const core::CompiledQuality::NullRateCeiling& nr : cq->null_rate_ceilings()) {
-    if (nr.field < field_nulls.size() && nr.id < nulls_by_id.size()) {
-      field_nulls[nr.field] = nulls_by_id[nr.id];
-    }
-  }
-  return core::BuildQualityJobReport(*cq, violations_by_id, field_nulls, rows_checked,
-                                     rows_quarantined);
+  return all.Report(*cq);
 }
 
 }  // namespace hyperq::stream

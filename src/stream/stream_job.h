@@ -8,23 +8,28 @@
 #include <string>
 #include <vector>
 
-#include "hyperq/data_converter.h"
-#include "hyperq/error_handler.h"
-#include "hyperq/file_writer.h"
-#include "hyperq/import_job.h"
+#include "hyperq/load_tail.h"
 #include "legacy/parcel.h"
 #include "sql/ast.h"
 
 /// \file stream_job.h
 /// Streaming micro-batch import (the "real-time" half of the paper's title,
-/// layered on the batch load path following DOD-ETL's micro-batching and
-/// METL's drift-tolerant mapping). A StreamJob is a long-lived import
-/// session: chunks arrive continuously, the client cuts watermark-delimited
-/// micro-batches with CommitBatch, and every commit runs the full tail of
-/// the batch pipeline — finalize staging files, upload, COPY, per-batch DML
-/// application — so the target table trails the stream by one micro-batch.
+/// following DOD-ETL's micro-batching and METL's drift-tolerant mapping). A
+/// StreamJob is the second front end of the shared core::LoadTail
+/// (hyperq/load_tail.h); ImportJob is the first. Chunks arrive continuously
+/// and are converted and staged on the session thread into the open
+/// micro-batch; the client cuts watermark-delimited micro-batches with
+/// CommitBatch, and every commit seals the open batch and runs the tail:
+/// Ship (upload + COPY) -> ET inserts -> DML apply over exactly the batch's
+/// HQ_ROWNUM range. The target table trails the stream by one micro-batch; a
+/// batch import is the same tail with one watermark.
 ///
-/// Exactly-once, at two protocol levels:
+/// What the stream adds on top of the tail: the busy token that serializes
+/// its verbs, schema-drift remapping with the binary -> csv format fallback,
+/// the commit journal, poisoning, per-batch quality rejection, staging-row
+/// pruning and COPY-ledger eviction.
+///
+/// Exactly-once, at three levels:
 ///   - A *server-side* COPY retry after a lost ack is absorbed by the CDW's
 ///     per-table idempotence ledger: the re-issued COPY (scoped to the
 ///     batch's own staging prefix) skips already-ingested objects and
@@ -90,8 +95,6 @@ class StreamJob {
                                                            const legacy::BeginStreamBody& begin,
                                                            core::JobContext ctx);
 
-  ~StreamJob();
-
   /// Accepts one data chunk into the open micro-batch. Conversion and the
   /// staging-file append run synchronously on the calling session thread:
   /// a micro-batch is small by construction and strict arrival order is
@@ -122,20 +125,17 @@ class StreamJob {
   /// cumulative result of every committed batch.
   common::Result<legacy::JobReportBody> Finish(uint64_t total_chunks, uint64_t total_rows);
 
-  const std::string& job_id() const { return job_id_; }
-  const legacy::BeginStreamBody& begin() const { return begin_; }
+  const std::string& job_id() const { return tail_.job_id(); }
   StreamStats stats() const HQ_EXCLUDES(mu_);
   /// Cumulative data-quality outcome across every batch so far
   /// (enabled=false when the gate is off). Serializes with in-flight calls.
   core::QualityJobReport quality_report() HQ_EXCLUDES(mu_);
   /// Quarantine table name ("" when the gate is off); outlives the stream.
-  const std::string& quarantine_table() const { return qrtn_table_; }
-  std::shared_ptr<obs::Trace> trace() const { return trace_; }
+  const std::string& quarantine_table() const { return tail_.quarantine_table(); }
+  std::shared_ptr<obs::Trace> trace() const { return tail_.trace(); }
 
  private:
-  StreamJob(std::string job_id, legacy::BeginStreamBody begin, core::JobContext ctx,
-            core::DataConverter converter, types::Schema staging_schema,
-            sql::StatementPtr dml);
+  StreamJob(core::LoadTail tail, core::DataConverter converter, sql::StatementPtr dml);
 
   /// Serializes SubmitChunk/ChangeLayout/CommitBatch/Finish across sessions
   /// without holding mu_ (rank kJob) through CDW (rank kCdw) or store calls
@@ -152,10 +152,9 @@ class StreamJob {
     StreamJob* job_;
   };
 
-  common::RetryPolicy MakeIoRetry(const char* breaker_endpoint) const;
-  /// Moves the open-batch state into sealed_ and finalizes the staging
-  /// files. On failure the caller must poison the stream: the writer's
-  /// finalize path is not re-runnable, so the batch content is forfeit.
+  /// Moves the open batch into sealed_ and finalizes its staging files. On
+  /// failure the caller must poison the stream: the writer's finalize path
+  /// is not re-runnable, so the batch content is forfeit.
   common::Status SealOpenBatch(uint64_t batch_seq);
   /// The commit pipeline body over *sealed_; runs with the busy token held,
   /// mu_ free. Retires sealed_ (and advances the committed watermark / row
@@ -163,25 +162,10 @@ class StreamJob {
   common::Result<legacy::BatchCommittedBody> CommitSealed(uint64_t watermark_micros);
   /// Marks the stream permanently failed; every later call returns this.
   void Poison(const common::Status& cause);
-  void ReleaseActiveGauge();
 
-  std::string job_id_;
-  legacy::BeginStreamBody begin_;
-  core::JobContext ctx_;
+  core::LoadTail tail_;
   core::DataConverter converter_;  ///< swapped on drift; busy-serialized
-  types::Schema staging_schema_;
   sql::StatementPtr dml_;
-  std::string staging_table_;
-  std::string remote_prefix_;
-  std::string local_dir_;
-  /// Quality gate (all empty / unused when off). The table block is kept so
-  /// drift-swapped converters recompile the same constraints — ids are
-  /// spec-ordered and thus stable across recompiles, which is what lets the
-  /// id-keyed aggregates below span drift windows.
-  bool quality_on_ = false;
-  core::TableQualitySpec table_quality_;
-  std::string qrtn_table_;
-  std::string qrtn_remote_prefix_;
   /// Effective staging format for NEW staging files. Starts as the node's
   /// configured format; negotiated down to kCsv (permanently, for this
   /// session) when a type-changing drift makes binary staging impossible.
@@ -190,7 +174,6 @@ class StreamJob {
   /// prefix loads correctly and its ledger keys stay format-tagged.
   cdw::StagingFormat staging_format_ = cdw::StagingFormat::kCsv;
 
-  std::shared_ptr<obs::Trace> trace_;
   struct Instruments {
     obs::Counter* chunks = nullptr;
     obs::Counter* rows_received = nullptr;
@@ -204,14 +187,9 @@ class StreamJob {
     obs::Counter* format_fallbacks = nullptr;
     obs::Histogram* batch_latency = nullptr;
     obs::Gauge* watermark_lag = nullptr;
-    obs::Gauge* jobs_active = nullptr;
-    obs::Counter* rows_quarantined = nullptr;
     obs::Counter* batches_rejected = nullptr;
-    obs::Gauge* violation_rate_bp = nullptr;
-    /// hyperq_quality_violations_total{constraint="..."}, id-indexed.
-    std::vector<obs::Counter*> quality_violations;
   } m_;
-  std::atomic<bool> active_gauge_held_{true};
+  core::ActiveGauge active_;
 
   mutable common::Mutex mu_{common::LockRank::kJob, "stream_job"};
   common::CondVar busy_cv_;
@@ -223,46 +201,22 @@ class StreamJob {
   uint64_t row_counter_ HQ_GUARDED_BY(mu_) = 0;
   StreamStats stats_ HQ_GUARDED_BY(mu_);
 
-  /// Open micro-batch (busy-serialized; no concurrent readers).
-  std::unique_ptr<core::FileWriter> batch_writer_;
-  std::vector<core::FinalizedFile> batch_files_;
-  std::vector<core::RecordError> batch_errors_;
-  uint64_t batch_chunks_ = 0;
-  uint64_t batch_rows_staged_ = 0;
-  /// Open-batch quarantine stream (busy-serialized; empty when gate off).
-  std::unique_ptr<core::FileWriter> batch_qrtn_writer_;
-  std::vector<core::FinalizedFile> batch_qrtn_files_;
-  /// Open-batch quality aggregates, constraint-id keyed (stable over drift).
-  uint64_t batch_quality_rows_checked_ = 0;
-  uint64_t batch_rows_quarantined_ = 0;
-  uint64_t batch_qrtn_rows_staged_ = 0;
-  std::vector<uint64_t> batch_violations_by_id_;
-  std::vector<uint64_t> batch_nulls_by_id_;
+  /// Open micro-batch and its staging lane (busy-serialized; no concurrent
+  /// readers).
+  core::StagingLane lane_;
+  core::SealedBatch open_;
+  std::chrono::steady_clock::time_point batch_open_;
   /// Global row number of the last row belonging to a committed batch.
   uint64_t committed_row_high_ = 0;
-  std::chrono::steady_clock::time_point batch_open_;
 
   /// A micro-batch sealed for commit. Survives a failed commit attempt so a
-  /// retried CommitBatch re-runs the pipeline on the same rows;
-  /// errors_recorded makes the ET-insert stage resumable across attempts.
-  struct SealedBatch {
+  /// retried CommitBatch re-runs the pipeline on the same rows.
+  struct PendingCommit {
     uint64_t batch_seq = 0;
-    std::vector<core::FinalizedFile> files;
-    std::vector<core::RecordError> errors;
-    size_t errors_recorded = 0;  ///< ET rows durably inserted so far
-    uint64_t rows_staged = 0;
-    uint64_t first_row = 0;
-    uint64_t last_row = 0;
     std::chrono::steady_clock::time_point open_time;
-    /// Quality-gate state sealed with the batch (empty/zero when off).
-    std::vector<core::FinalizedFile> qrtn_files;
-    uint64_t quality_rows_checked = 0;
-    uint64_t rows_quarantined = 0;
-    uint64_t qrtn_rows_staged = 0;
-    std::vector<uint64_t> violations_by_id;
-    std::vector<uint64_t> nulls_by_id;
+    core::SealedBatch batch;
   };
-  std::optional<SealedBatch> sealed_;  ///< pending commit (busy-serialized)
+  std::optional<PendingCommit> sealed_;  ///< pending commit (busy-serialized)
 
   uint64_t last_watermark_ = 0;
   /// Commit journal: batch_seq -> recorded reply, for client replays. Only
@@ -273,9 +227,7 @@ class StreamJob {
   std::deque<std::string> ledgered_prefixes_;
 
   /// Cumulative quality aggregates across committed batches.
-  uint64_t quality_rows_checked_ HQ_GUARDED_BY(mu_) = 0;
-  std::vector<uint64_t> quality_violations_by_id_ HQ_GUARDED_BY(mu_);
-  std::vector<uint64_t> quality_nulls_by_id_ HQ_GUARDED_BY(mu_);
+  core::QualityTally quality_ HQ_GUARDED_BY(mu_);
 
   /// Cumulative DML results across batches (for the final JobReport).
   core::DmlApplyResult dml_totals_ HQ_GUARDED_BY(mu_);

@@ -10,19 +10,50 @@
 namespace hyperq::core {
 namespace {
 
+using common::Status;
+
 /// Wire-protocol robustness: drives HyperQServer with a raw LegacySession
 /// (no ETL client) and checks the Failure replies and error codes the Beta /
 /// PXC path produces.
 class ProtocolTest : public ::testing::Test {
  protected:
-  ProtocolTest() : cdw_(&store_) {
-    HyperQOptions options;
+  ProtocolTest() : cdw_(&store_) { StartNode(HyperQOptions{}); }
+
+  ~ProtocolTest() override { node_->Stop(); }
+
+  /// (Re)starts the node under test with `options` over the same CDW/store.
+  void StartNode(HyperQOptions options) {
+    if (node_ != nullptr) node_->Stop();
     options.local_staging_dir = std::string("/tmp/hq_protocol_test.") + std::to_string(::getpid()) + "/staging";
     node_ = std::make_unique<HyperQServer>(&cdw_, &store_, options);
     node_->Start();
   }
 
-  ~ProtocolTest() override { node_->Stop(); }
+  /// One vartext chunk of single-field records.
+  static legacy::DataChunkBody VartextChunk(uint64_t seq, const std::vector<std::string>& values) {
+    common::ByteBuffer payload;
+    for (const auto& v : values) {
+      EXPECT_TRUE(legacy::EncodeVartextRecord({{false, v}}, '|', &payload).ok());
+    }
+    legacy::DataChunkBody chunk;
+    chunk.chunk_seq = seq;
+    chunk.row_count = static_cast<uint32_t>(values.size());
+    chunk.payload = payload.vector();
+    return chunk;
+  }
+
+  static legacy::BeginLoadBody SingleColumnLoad(const std::string& job_id,
+                                                const std::string& table) {
+    legacy::BeginLoadBody begin;
+    begin.job_id = job_id;
+    begin.target_table = table;
+    begin.layout.AddField(types::Field("A", types::TypeDesc::Varchar(5)));
+    return begin;
+  }
+
+  int64_t CountRows(const std::string& table) {
+    return cdw_.ExecuteSql("SELECT COUNT(*) FROM " + table).ValueOrDie().rows[0][0].int_value();
+  }
 
   std::unique_ptr<legacy::LegacySession> Connect() {
     auto session = std::make_unique<legacy::LegacySession>(node_->Connect());
@@ -191,6 +222,43 @@ TEST_F(ProtocolTest, ServerSurvivesAbruptDisconnect) {
   // The node still accepts and serves new sessions.
   auto session = Connect();
   EXPECT_TRUE(session->ExecuteSql("SELECT 1").ok());
+}
+
+TEST_F(ProtocolTest, FailedEndLoadStaysFailedAndAppliesNothing) {
+  HyperQOptions options;
+  options.quality.spec = "QG{A:len[1,2]}";
+  options.quality.abort_over_threshold = true;
+  options.quality.max_violation_rate = 0.1;
+  StartNode(options);
+  auto session = Connect();
+  ASSERT_TRUE(session->ExecuteSql("CREATE TABLE QG (A VARCHAR(5))").ok());
+  ASSERT_TRUE(session->BeginLoad(SingleColumnLoad("qg_job", "QG")).ok());
+  // Two of the four rows break len[1,2]: a 0.5 violation rate aborts the load.
+  ASSERT_TRUE(session->SendDataChunk(VartextChunk(0, {"a", "bbbb", "cc", "dddd"})).ok());
+  Status first = session->EndLoad(1, 4);
+  ASSERT_FALSE(first.ok());
+  EXPECT_NE(first.message().find("max_violation_rate"), std::string::npos) << first.ToString();
+  // A re-sent EndLoad must not turn the aborted load into a success, and the
+  // rejected job's staged rows must never reach the target.
+  EXPECT_FALSE(session->EndLoad(1, 4).ok());
+  EXPECT_FALSE(session->ApplyDml("L", "INSERT INTO QG VALUES (:A);").ok());
+  EXPECT_EQ(CountRows("QG"), 0);
+  EXPECT_EQ(CountRows("HQ_QRTN_qg_job"), 2);
+}
+
+TEST_F(ProtocolTest, FailedApplyDmlCountsTheJobAsFailed) {
+  auto session = Connect();
+  ASSERT_TRUE(session->ExecuteSql("CREATE TABLE AJ (A VARCHAR(5))").ok());
+  ASSERT_TRUE(session->BeginLoad(SingleColumnLoad("aj_job", "AJ")).ok());
+  ASSERT_TRUE(session->SendDataChunk(VartextChunk(0, {"x"})).ok());
+  ASSERT_TRUE(session->EndLoad(1, 1).ok());
+  EXPECT_FALSE(session->ApplyDml("L", "INSERT INTO NO.SUCH_TABLE VALUES (:A);").ok());
+
+  obs::MetricsSnapshot snap = node_->MetricsSnapshot();
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_started_total"), 1u);
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_completed_total"), 0u);
+  EXPECT_EQ(snap.counters.at("hyperq_import_jobs_failed_total"), 1u);
+  EXPECT_EQ(snap.gauges.at("hyperq_import_jobs_active"), 0);
 }
 
 TEST_F(ProtocolTest, StopClosesLingeringSessions) {

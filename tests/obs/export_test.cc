@@ -68,6 +68,35 @@ TEST(PrometheusExportTest, EmptySnapshotRoundTrips) {
   EXPECT_EQ(*parsed, empty);
 }
 
+TEST(PrometheusExportTest, LabelledSeriesShareOneFamily) {
+  MetricsRegistry reg;
+  reg.GetGauge("contended_total{rank=\"kJob\"}")->Set(2);
+  reg.GetGauge("contended_total{rank=\"kObs\"}")->Set(5);
+  reg.GetHistogram("wait_seconds{rank=\"kJob\"}")->Observe(3e-3);
+  reg.GetHistogram("wait_seconds{rank=\"kObs\"}")->Observe(0.5e-6);
+  reg.GetHistogram("wait_seconds{rank=\"kObs\"}")->Observe(500.0);
+  MetricsSnapshot snap = reg.Snapshot();
+  std::string text = ToPrometheusText(snap);
+  EXPECT_NE(text.find("# TYPE contended_total gauge\n"
+                      "contended_total{rank=\"kJob\"} 2\n"
+                      "contended_total{rank=\"kObs\"} 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE wait_seconds histogram\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("# TYPE wait_seconds{"), std::string::npos) << text;
+  EXPECT_NE(text.find("wait_seconds_bucket{rank=\"kObs\",le=\"1e-06\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("wait_seconds_bucket{rank=\"kObs\",le=\"+Inf\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("wait_seconds_count{rank=\"kJob\"} 1\n"), std::string::npos) << text;
+
+  auto parsed = FromPrometheusText(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, snap);
+}
+
 TEST(PrometheusExportTest, RejectsMalformedInput) {
   EXPECT_FALSE(FromPrometheusText("stray_sample 42\n").ok());
   EXPECT_FALSE(FromPrometheusText("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\n").ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 namespace hyperq::types {
 namespace {
 
@@ -46,6 +50,23 @@ struct ParseCase {
   const char* text;
   TypeDesc expected;
 };
+
+// Prints a case as its text with each run of other characters folded to
+// '_' ("decimal(18,2)" -> "decimal_18_2"). Test discovery names each case
+// after its printed value, and the default printer would put the raw bytes
+// of the `text` pointer there, which change from one process to the next.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  std::string name;
+  for (const char* p = c.text; *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p))) {
+      name.push_back(*p);
+    } else if (!name.empty() && name.back() != '_') {
+      name.push_back('_');
+    }
+  }
+  while (!name.empty() && name.back() == '_') name.pop_back();
+  *os << name;
+}
 
 class ParseTypeNameTest : public ::testing::TestWithParam<ParseCase> {};
 
