@@ -17,15 +17,15 @@
 ///
 /// --json writes a machine-readable BENCH_convert.json. --smoke runs a small
 /// configuration and exits non-zero unless compiled >= 1.0x reference rows/s
-/// on both wire formats (the CI regression gate; see ci/check.sh
-/// bench-smoke). With --smoke --format=binary the gate additionally requires
+/// and the compiled plan makes zero steady-state allocations, on both wire
+/// formats (the CI regression gate; see ci/check.sh bench-smoke). With --smoke --format=binary the gate additionally requires
 /// the binary staging pipe to beat the CSV pipe end to end.
 ///
 /// --quality switches to the data-quality-gate ablation: the compiled plan
 /// with a never-firing constraint spec (clean data) vs the same plan with
-/// the gate off, for both kernel families (text kernels staging CSV,
-/// columnar kernels staging HQB1). With --smoke the run fails unless the
-/// clean-data overhead stays within 2% on both families (the CI gate).
+/// the gate off, for both staging sinks of the binary-input decodes (CSV
+/// text, HQB1 columns). With --smoke the run fails unless the clean-data
+/// overhead stays within 2% on both sinks (the CI gate).
 
 #include <algorithm>
 #include <atomic>
@@ -297,7 +297,7 @@ struct QualityFamilyResult {
   bool gated = true;    ///< counts toward the <2% smoke gate
 };
 
-/// One kernel family under the quality gate: the same compiled plan with and
+/// One decode sink under the quality gate: the same compiled plan with and
 /// without a never-firing constraint spec over clean data. Each repeat times
 /// an off/on/off triple of adjacent passes: on/off1 is the measured pair,
 /// off2/off1 is an identical-converter CONTROL pair that can only differ by
@@ -478,11 +478,10 @@ int main(int argc, char** argv) {
     families.push_back(RunQualityFamily("columnar", binary_layout, legacy::DataFormat::kBinary,
                                         cdw::StagingFormat::kBinary, binary_input, kBinarySpec,
                                         q_iters, q_repeats));
-    // The <2% gate covers the two KERNEL families the satellite names (text
-    // kernels staging CSV, columnar kernels staging HQB1). The vartext
-    // split-loop rows ride along for visibility: that driver has no kernels,
-    // its rows are ~4x cheaper, so the same fixed per-row check cost is a
-    // larger fraction by construction.
+    // The <2% gate covers the binary-input decodes on both sinks (CSV text,
+    // HQB1 columns). The vartext split-loop rows ride along for visibility:
+    // vartext has no per-type decode, its rows are ~4x cheaper, so the same
+    // fixed per-row check cost is a larger fraction by construction.
     families.push_back(RunQualityFamily("vartext", vartext_layout, legacy::DataFormat::kVartext,
                                         cdw::StagingFormat::kCsv, vartext_input, kVartextSpec,
                                         q_iters, q_repeats));
@@ -509,7 +508,7 @@ int main(int argc, char** argv) {
       // weather.
       if (smoke && f.gated && f.overhead > 0.02 + f.noise) {
         std::printf("  SMOKE FAIL: quality gate overhead %.2f%% > 2%% + %.2f%% noise floor "
-                    "on %s kernels\n",
+                    "on %s staging\n",
                     f.overhead * 100.0, f.noise * 100.0, f.family.c_str());
         quality_ok = false;
       }
@@ -583,6 +582,14 @@ int main(int argc, char** argv) {
       std::printf("  compiled   %12.0f rows/s %14.0f bytes/s %8.4f allocs/row\n",
                   report.compiled.rows_per_s, report.compiled.bytes_per_s,
                   report.compiled.allocs_per_row);
+      // The runtime half of the hotpath proofs' operator-new frontier: with
+      // a warm pool the compiled plan's steady state allocates nothing at
+      // all, so any allocation here is a regression.
+      if (smoke && report.compiled.allocs_per_row > 0.0) {
+        std::printf("  SMOKE FAIL: compiled plan allocates in steady state on %s\n",
+                    report.format.c_str());
+        smoke_ok = false;
+      }
     }
     if (report.ran_reference) {
       std::printf("  reference  %12.0f rows/s %14.0f bytes/s %8.4f allocs/row\n",

@@ -142,7 +142,7 @@ for stage in "${STAGES[@]}"; do
       ctest --preset default -R '^bench_stream_smoke$' --output-on-failure
       ctest --preset default -R '^bench_stream_smoke_binary$' --output-on-failure
       # SWAR CSV scan: both scan paths must parse identically (the speedup is
-      # gated only on full runs; debug-build timing is noise).
+      # gated only on full runs; smoke-sized inputs time too briefly to tell).
       ctest --preset default -R '^bench_csv_scan_smoke$' --output-on-failure
       # Data-quality gate cost: the fused per-field check ops must stay
       # within 2% of the gate-off kernels (plus the run's own measured A/A

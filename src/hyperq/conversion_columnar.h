@@ -4,21 +4,18 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "hyperq/conversion_plan.h"
-#include "types/type.h"
 
 /// \file conversion_columnar.h
-/// The HQB1 columnar encode side of the direct-pipe load path: support types
-/// for the ConversionPlan binary kernel family (conversion_columnar.cc).
-/// Where the CSV kernels append escaped text, the columnar kernels append
-/// typed little-endian staging values into per-column sinks; the builder
-/// assembles the sinks into one self-describing HQB1 block per chunk
+/// The HQB1 columnar encode side of the direct-pipe load path. Where the CSV
+/// sink appends escaped text, the HQB1 column sink (conversion_plan.cc)
+/// appends typed little-endian staging values into per-column sinks; the
+/// builder assembles the sinks into one self-describing HQB1 block per chunk
 /// (cdw/staging_binary.h) that CDW COPY appends without per-cell parsing.
 ///
-/// Same hot-loop discipline as the CSV path: steady-state encoding performs
-/// zero per-row heap allocations (sink growth is amortized ByteBuffer
-/// doubling), and per-record rollback is pure truncation derived from the
-/// committed row count — no undo log.
+/// Same hot-loop discipline as the CSV path: each sink is reserved once per
+/// chunk from the chunk's row count, so steady-state encoding performs no
+/// per-row heap allocation, and per-record rollback is pure truncation
+/// derived from the committed row count — no undo log.
 
 namespace hyperq::core {
 
@@ -26,37 +23,39 @@ namespace hyperq::core {
 struct ColumnSink {
   /// Fixed staging cell width in bytes; 0 = varlen (VARCHAR).
   uint32_t fixed_width = 0;
+  /// The in-progress row's cell is NULL (recorded in the bitmap at commit).
+  bool pending_null = false;
   /// Fixed value bytes (fixed columns) or cell payload bytes (varlen).
   common::ByteBuffer data;
   /// Varlen END offsets, one per committed row (appended at CommitRow).
   std::vector<uint32_t> offsets;
   /// LSB-first null bitmap, bit (row & 7) of byte (row >> 3).
   std::vector<uint8_t> nulls;
+
+  /// Appends the canonical NULL cell: a zero-filled fixed slot (nothing for
+  /// varlen) marked NULL.
+  void AppendNull() {
+    pending_null = true;
+    if (fixed_width != 0) data.resize(data.size() + fixed_width);
+  }
 };
 
 /// Accumulates one chunk's rows column-wise and serializes the HQB1 block.
-/// Row protocol: kernels append cell bytes into col(i) (callers MarkNull
-/// first for NULL cells so the bitmap is recorded), then exactly one of
-/// CommitRow / RollbackRow. Rollback is truncation to the committed state:
-/// offsets and bitmap bits are only written at commit, so only in-progress
-/// cell bytes need cutting.
+/// Row protocol: decodes append cells into col(i) (ColumnSink::AppendNull
+/// for NULL cells), then exactly one of CommitRow / RollbackRow. Rollback
+/// is truncation to the committed state: offsets and bitmap bits are only
+/// written at commit, so only in-progress cell bytes need cutting.
 class ColumnarChunkBuilder {
  public:
   /// `target_widths` has one entry per staging column INCLUDING the trailing
   /// HQ_ROWNUM BIGINT (width 8), matching the block header's column order.
-  explicit ColumnarChunkBuilder(const std::vector<uint32_t>& target_widths);
+  /// Every sink is reserved for `expected_rows` rows (0 = unknown: grow by
+  /// doubling).
+  ColumnarChunkBuilder(const std::vector<uint32_t>& target_widths, uint32_t expected_rows);
 
   /// Sink of staging column `i` (HQ_ROWNUM's sink is never written by
-  /// kernels; CommitRow fills it).
+  /// decodes; CommitRow fills it).
   ColumnSink* col(size_t i) { return &cols_[i]; }
-
-  /// Records that column `i` of the in-progress row is NULL.
-  void MarkNull(size_t i) { pending_null_[i] = 1; }
-
-  /// Appends the canonical NULL cell to column `i` (zero-filled fixed slot /
-  /// empty varlen cell) and marks it NULL — the remap path's "no source
-  /// field" slot, equivalent to what a kernel emits for a NULL indicator.
-  void AppendNullCell(size_t i);
 
   /// Seals the in-progress row: appends HQ_ROWNUM, varlen offsets and null
   /// bitmap bits for every column.
@@ -74,18 +73,7 @@ class ColumnarChunkBuilder {
 
  private:
   std::vector<ColumnSink> cols_;
-  std::vector<uint8_t> pending_null_;
   uint32_t rows_ = 0;
 };
-
-/// Columnar kernel + staging width for a SOURCE layout field type (the
-/// staging width reflects the CDW mapping: BYTEINT widens to SMALLINT,
-/// CHAR wider than the CDW limit stages as varlen).
-struct ColumnKernelInfo {
-  ConversionPlan::ColumnKernel kernel = nullptr;
-  uint32_t staging_width = 0;  ///< 0 = varlen
-};
-
-ColumnKernelInfo ColumnKernelFor(const types::TypeDesc& source_type);
 
 }  // namespace hyperq::core

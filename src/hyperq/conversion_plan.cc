@@ -5,13 +5,26 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string_view>
+#include <utility>
 
-#include "hyperq/conversion_text.h"
+#include "cdw/staging_binary.h"
+#include "hyperq/conversion_columnar.h"
 #include "hyperq/quality.h"
 #include "legacy/errors.h"
 #include "legacy/row_format.h"
 #include "types/date.h"
+
+/// One decode per wire type, two sinks: each Decode<Type> reads the field's
+/// wire bytes once, runs the fused quality check once, and hands the value
+/// to a sink policy — CSV staging text or a typed HQB1 staging column. Two
+/// chunk loops (binary input, vartext input) drive the decodes through a row
+/// policy that owns where a record goes: straight into the CSV buffer, into
+/// the HQB1 column builder, or — under schema drift — buffered per source
+/// field and emitted in target order. Both loops share one record tail
+/// (ChunkOutput): the quality verdict, record-atomic quarantine diversion,
+/// row accounting and staging-growth counting.
 
 namespace hyperq::core {
 
@@ -45,8 +58,45 @@ constexpr int64_t kPow10[] = {1LL,
                               100000000000000000LL,
                               1000000000000000000LL};
 
-using conversion_detail::AppendCsvText;
-using conversion_detail::AppendIntText;
+/// Appends one non-NULL CSV field with exactly EncodeCsvRecord's escaping:
+/// empty strings are quoted (to stay distinct from NULL), and any text
+/// containing the delimiter, '"', '\n' or '\r' is quoted with '"' doubled.
+void AppendCsvText(std::string_view text, char delimiter, ByteBuffer* out) {
+  bool needs_quotes = text.empty();
+  for (char c : text) {
+    if (c == delimiter || c == '"' || c == '\n' || c == '\r') {
+      needs_quotes = true;
+      break;
+    }
+  }
+  if (!needs_quotes) {
+    out->AppendString(text);
+    return;
+  }
+  out->AppendByte('"');
+  // Emit runs ending at each '"' inclusive, then restart the next run AT the
+  // quote so it is emitted twice ("" escape) without per-character appends.
+  // Unchecked string_view construction instead of substr(): run <= i < size
+  // always holds, and substr's pos>size bounds check would compile
+  // __throw_out_of_range_fmt into the hot loop (caught by hqcheck's
+  // hotpath-symbol proof).
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '"') {
+      out->AppendString(std::string_view(text.data() + run, i - run + 1));
+      run = i;
+    }
+  }
+  out->AppendString(std::string_view(text.data() + run, text.size() - run));
+  out->AppendByte('"');
+}
+
+template <typename Int>
+void AppendIntText(Int v, char delimiter, ByteBuffer* out) {
+  char buf[24];
+  auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  AppendCsvText(std::string_view(buf, static_cast<size_t>(r.ptr - buf)), delimiter, out);
+}
 
 void AppendFloatText(double v, char delimiter, ByteBuffer* out) {
   char buf[40];
@@ -106,143 +156,489 @@ void AppendTimestampText(types::TimestampMicros micros, char delimiter, ByteBuff
 
 using FieldPlan = ConversionPlan::FieldPlan;
 
-Status KernelBoolean(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+// --- Sinks ----------------------------------------------------------------
+
+/// CSV staging text: the value's CSV-escaped text. NULL emits nothing (an
+/// empty field, distinct from the quoted empty string).
+struct CsvTextSink {
+  using Out = ByteBuffer;
+  static ConversionPlan::FieldDecode<Out> DecodeOf(const FieldPlan& f) { return f.text_decode; }
+  static void Null(Out*) {}
+  static void Bool(const FieldPlan& f, bool v, Out* out) {
+    AppendCsvText(v ? "1" : "0", f.csv_delimiter, out);
+  }
+  template <typename V>
+  static void Int(const FieldPlan& f, V v, Out* out) {
+    AppendIntText(v, f.csv_delimiter, out);
+  }
+  static void Float(const FieldPlan& f, double v, Out* out) {
+    AppendFloatText(v, f.csv_delimiter, out);
+  }
+  static void Decimal(const FieldPlan& f, int64_t unscaled, Out* out) {
+    AppendDecimalText(unscaled, f.scale, f.csv_delimiter, out);
+  }
+  static void Date(const FieldPlan& f, types::DateDays days, Out* out) {
+    AppendDateText(days, f.csv_delimiter, out);
+  }
+  static void Timestamp(const FieldPlan& f, types::TimestampMicros ts, Out* out) {
+    AppendTimestampText(ts, f.csv_delimiter, out);
+  }
+  static void Text(const FieldPlan& f, std::string_view text, Out* out) {
+    AppendCsvText(text, f.csv_delimiter, out);
+  }
+  /// Buffered-cell protocol of the drift remap.
+  static void Clear(Out* cell) { cell->clear(); }
+  static void Copy(const Out& cell, Out* out) { out->AppendSlice(cell.AsSlice()); }
+};
+
+/// HQB1 staging column: the typed little-endian value at its CDW-mapped
+/// staging width. NULL writes the zero-filled slot (nothing for varlen) and
+/// marks the bitmap. CHAR wider than the CDW limit stages into a varlen
+/// column, so the same Text call writes an unpadded varlen cell there.
+struct Hqb1ColumnSink {
+  using Out = ColumnSink;
+  static ConversionPlan::FieldDecode<Out> DecodeOf(const FieldPlan& f) {
+    return f.column_decode;
+  }
+  static void Null(Out* col) { col->AppendNull(); }
+  static void Bool(const FieldPlan&, bool v, Out* col) { col->data.AppendByte(v ? 1 : 0); }
+  static void Int(const FieldPlan&, int16_t v, Out* col) { col->data.AppendI16(v); }
+  static void Int(const FieldPlan&, int32_t v, Out* col) { col->data.AppendI32(v); }
+  static void Int(const FieldPlan&, int64_t v, Out* col) { col->data.AppendI64(v); }
+  static void Float(const FieldPlan&, double v, Out* col) { col->data.AppendF64(v); }
+  static void Decimal(const FieldPlan&, int64_t unscaled, Out* col) {
+    col->data.AppendI64(unscaled);
+  }
+  static void Date(const FieldPlan&, types::DateDays days, Out* col) { col->data.AppendI32(days); }
+  static void Timestamp(const FieldPlan&, types::TimestampMicros ts, Out* col) {
+    col->data.AppendI64(ts);
+  }
+  static void Text(const FieldPlan&, std::string_view text, Out* col) {
+    col->data.AppendString(text);
+  }
+  static void Clear(Out* cell) { cell->data.clear(); }
+  static void Copy(const Out& cell, Out* col) { col->data.AppendSlice(cell.data.AsSlice()); }
+};
+
+// --- Decodes: one per wire TypeId, instantiated per sink ------------------
+
+template <class Sink>
+Status DecodeBoolean(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                      QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(uint8_t b, body->ReadByte());
   if (f.checks != nullptr) QcPresence(*f.checks, null, q);
-  if (!null) AppendCsvText(b != 0 ? "1" : "0", f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Bool(f, b != 0, out);
+  }
   return Status::OK();
 }
 
-Status KernelInt8(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeInt8(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                   QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int8_t v, body->ReadI8());
   if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  if (!null) AppendIntText<int32_t>(v, f.csv_delimiter, out);
+  // BYTEINT stages as SMALLINT (the CDW has no 1-byte integer).
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Int(f, static_cast<int16_t>(v), out);
+  }
   return Status::OK();
 }
 
-Status KernelInt16(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeInt16(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                    QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int16_t v, body->ReadI16());
   if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  if (!null) AppendIntText<int32_t>(v, f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Int(f, v, out);
+  }
   return Status::OK();
 }
 
-Status KernelInt32(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeInt32(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                    QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int32_t v, body->ReadI32());
   if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  if (!null) AppendIntText(v, f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Int(f, v, out);
+  }
   return Status::OK();
 }
 
-Status KernelInt64(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeInt64(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                    QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int64_t v, body->ReadI64());
   if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(v), q);
-  if (!null) AppendIntText(v, f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Int(f, v, out);
+  }
   return Status::OK();
 }
 
-Status KernelFloat64(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeFloat64(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                      QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(double v, body->ReadF64());
   if (f.checks != nullptr) QcNumeric(*f.checks, null, v, q);
-  if (!null) AppendFloatText(v, f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Float(f, v, out);
+  }
   return Status::OK();
 }
 
-Status KernelDecimal(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeDecimal(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                      QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int64_t unscaled, body->ReadI64());
   // Quality range bounds are pre-scaled to unscaled units at compile.
   if (f.checks != nullptr) QcNumeric(*f.checks, null, static_cast<double>(unscaled), q);
-  if (!null) AppendDecimalText(unscaled, f.scale, f.csv_delimiter, out);
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Decimal(f, unscaled, out);
+  }
   return Status::OK();
 }
 
-Status KernelDate(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeDate(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                   QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(int32_t enc, body->ReadI32());
   if (null) {
     if (f.checks != nullptr) QcNullField(*f.checks, q);
+    Sink::Null(out);
     return Status::OK();
   }
   HQ_ASSIGN_OR_RETURN(types::DateDays days, legacy::LegacyDateDecode(enc));
   if (f.checks != nullptr) QcNumeric(*f.checks, false, static_cast<double>(days), q);
-  AppendDateText(days, f.csv_delimiter, out);
+  Sink::Date(f, days, out);
   return Status::OK();
 }
 
-Status KernelTimestamp(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeTimestamp(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                        QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(Slice text, body->ReadSlice(legacy::kLegacyTimestampWidth));
   if (null) {
     if (f.checks != nullptr) QcNullField(*f.checks, q);
+    Sink::Null(out);
     return Status::OK();
   }
   HQ_ASSIGN_OR_RETURN(types::TimestampMicros ts, types::ParseTimestampIso(text.ToStringView()));
   if (f.checks != nullptr) QcNumeric(*f.checks, false, static_cast<double>(ts), q);
-  AppendTimestampText(ts, f.csv_delimiter, out);
+  Sink::Timestamp(f, ts, out);
   return Status::OK();
 }
 
-Status KernelChar(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeChar(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                   QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(Slice text, body->ReadSlice(static_cast<size_t>(f.length)));
   // CHAR is checked as wired, blank padding included (documented in quality.h).
-  if (f.checks != nullptr) QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
-  if (!null) AppendCsvText(text.ToStringView(), f.csv_delimiter, out);
+  if (f.checks != nullptr) {
+    QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
+  }
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Text(f, text.ToStringView(), out);
+  }
   return Status::OK();
 }
 
-Status KernelVarchar(const FieldPlan& f, ByteReader* body, bool null, ByteBuffer* out,
+template <class Sink>
+Status DecodeVarchar(const FieldPlan& f, ByteReader* body, bool null, typename Sink::Out* out,
                      QualityScratch* q) {
   HQ_ASSIGN_OR_RETURN(Slice text, body->ReadLengthPrefixed16());
-  if (f.checks != nullptr) QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
-  if (!null) AppendCsvText(text.ToStringView(), f.csv_delimiter, out);
+  if (f.checks != nullptr) {
+    QcString(*f.checks, null, reinterpret_cast<const char*>(text.data()), text.size(), q);
+  }
+  if (null) {
+    Sink::Null(out);
+  } else {
+    Sink::Text(f, text.ToStringView(), out);
+  }
   return Status::OK();
 }
 
-struct KernelInfo {
-  ConversionPlan::FieldKernel kernel;
+/// The one per-type table: both sink instantiations of the type's decode
+/// plus its worst-case CSV text width.
+struct DecodeInfo {
+  ConversionPlan::FieldDecode<ByteBuffer> text;
+  ConversionPlan::FieldDecode<ColumnSink> column;
   uint32_t width_hint;
 };
 
-KernelInfo KernelFor(const types::TypeDesc& type) {
+DecodeInfo DecodeFor(const types::TypeDesc& type) {
   switch (type.id) {
     case TypeId::kBoolean:
-      return {KernelBoolean, 1};
+      return {DecodeBoolean<CsvTextSink>, DecodeBoolean<Hqb1ColumnSink>, 1};
     case TypeId::kInt8:
-      return {KernelInt8, 4};
+      return {DecodeInt8<CsvTextSink>, DecodeInt8<Hqb1ColumnSink>, 4};
     case TypeId::kInt16:
-      return {KernelInt16, 6};
+      return {DecodeInt16<CsvTextSink>, DecodeInt16<Hqb1ColumnSink>, 6};
     case TypeId::kInt32:
-      return {KernelInt32, 11};
+      return {DecodeInt32<CsvTextSink>, DecodeInt32<Hqb1ColumnSink>, 11};
     case TypeId::kInt64:
-      return {KernelInt64, 20};
+      return {DecodeInt64<CsvTextSink>, DecodeInt64<Hqb1ColumnSink>, 20};
     case TypeId::kFloat64:
-      return {KernelFloat64, 24};
+      return {DecodeFloat64<CsvTextSink>, DecodeFloat64<Hqb1ColumnSink>, 24};
     case TypeId::kDecimal:
-      return {KernelDecimal, 21};
+      return {DecodeDecimal<CsvTextSink>, DecodeDecimal<Hqb1ColumnSink>, 21};
     case TypeId::kDate:
-      return {KernelDate, 10};
+      return {DecodeDate<CsvTextSink>, DecodeDate<Hqb1ColumnSink>, 10};
     case TypeId::kTimestamp:
-      return {KernelTimestamp, 26};
+      return {DecodeTimestamp<CsvTextSink>, DecodeTimestamp<Hqb1ColumnSink>, 26};
     case TypeId::kChar:
-      return {KernelChar, static_cast<uint32_t>(type.length) + 2};
+      return {DecodeChar<CsvTextSink>, DecodeChar<Hqb1ColumnSink>,
+              static_cast<uint32_t>(type.length) + 2};
     case TypeId::kVarchar:
-      return {KernelVarchar, 0};  // content rides in the payload bytes
+      break;
   }
-  return {KernelVarchar, 0};  // unreachable: TypeId is exhaustive
+  // VARCHAR content rides in the payload bytes: no fixed width hint.
+  return {DecodeVarchar<CsvTextSink>, DecodeVarchar<Hqb1ColumnSink>, 0};
 }
 
 /// Worst-case width of the trailing ",HQ_ROWNUM\n" suffix.
 constexpr size_t kRowNumSuffixHint = 22;
 
+// Cold per-bad-record error paths, out of line so every chunk-loop
+// instantiation shares one copy. Each builds its message once per rejected
+// record or failed chunk, never per value.
+__attribute__((noinline)) void AddFormatViolation(uint64_t row_number, const Status& status,
+                                                  std::vector<RecordError>* errors) {
+  errors->push_back(RecordError{row_number, legacy::kErrFormatViolation, "",
+                                status.message() + " (remainder of chunk skipped)"});
+}
+
+__attribute__((noinline)) void AddArityMismatch(uint64_t row_number, size_t nfields,
+                                                size_t expected,
+                                                std::vector<RecordError>* errors) {
+  errors->push_back(
+      RecordError{row_number, legacy::kErrFieldCountMismatch, "",
+                  "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
+                      " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+}
+
+__attribute__((noinline)) Status FramingError(const Status& status, uint64_t chunk_seq) {
+  return status.WithContext("chunk " + std::to_string(chunk_seq));  // hqlint:allow(per-row-alloc)
+}
+
+/// What both chunk loops share once a record has been read into the row
+/// policy: the quality verdict, record-atomic quarantine diversion, row
+/// accounting, and counting staging-buffer growth past its reservation.
+template <class Rows>
+class ChunkOutput {
+ public:
+  ChunkOutput(const ConversionPlan& plan, const CompiledQuality* cq,
+              const ConversionInput& input, ConvertedChunk* out)
+      : rows(plan, input, out),
+        plan_(plan),
+        cq_(cq),
+        out_(out),
+        capacity_(out->csv.vector().capacity()) {
+    if (cq != nullptr) qs.Init(*cq);
+  }
+
+  void BeginRow() {
+    if (cq_ != nullptr) qs.BeginRow();
+    rows.BeginRow();
+  }
+
+  /// Ends a fully decoded record: commits it, or — when it violates a
+  /// constraint — drops it from staging and re-renders it as CSV text into
+  /// the quarantine stream (quarantine is always CSV diagnostics, even for
+  /// HQB1 staging). `render(twin)` replays the record into a text row
+  /// policy; it cannot fail on bytes that just decoded, and the check ops
+  /// it re-runs only touch row-local scratch that CommitRowStats already
+  /// merged and the next BeginRow resets.
+  template <class Render>
+  void EndRow(uint64_t row_number, Render&& render) {
+    if (cq_ != nullptr) {
+      QcFinishRow(&qs);
+      qs.CommitRowStats();
+      if (qs.row_kind != QualityKind::kNone) {
+        rows.RollbackRow();
+        if (!quarantine_) quarantine_.emplace(plan_, &out_->qrtn);
+        quarantine_->BeginRow();
+        if (render(&*quarantine_).ok()) {
+          quarantine_->CommitRow(row_number, cq_->constraint(qs.row_id).csv_suffix);
+          ++qs.rows_quarantined;
+        } else {
+          quarantine_->RollbackRow();
+        }
+        return;
+      }
+    }
+    rows.CommitRow(row_number);
+    ++out_->rows_out;
+    CountGrowth();
+  }
+
+  /// Copies the chunk's quality aggregates out (also on a failed chunk).
+  void FinishQuality() {
+    if (cq_ != nullptr) FinishChunkQuality(*cq_, qs, &out_->quality);
+  }
+
+  Status Finish() {
+    rows.Finish();
+    CountGrowth();
+    FinishQuality();
+    return Status::OK();
+  }
+
+  Rows rows;
+  QualityScratch qs;
+
+ private:
+  void CountGrowth() {
+    const size_t capacity = out_->csv.vector().capacity();
+    if (capacity != capacity_) {
+      capacity_ = capacity;
+      ++out_->csv_reallocs;
+    }
+  }
+
+  const ConversionPlan& plan_;
+  const CompiledQuality* cq_;
+  ConvertedChunk* out_;
+  size_t capacity_;
+  /// Text twin of the row policy writing into out->qrtn, built on the
+  /// chunk's first violating row.
+  std::optional<typename Rows::TextTwin> quarantine_;
+};
+
 }  // namespace
+
+// --- Row policies -----------------------------------------------------------
+
+/// CSV staging: fields go straight into the output buffer; rollback is
+/// truncation to the record's start.
+class ConversionPlan::CsvRows {
+ public:
+  using Sink = CsvTextSink;
+  using TextTwin = CsvRows;
+
+  CsvRows(const ConversionPlan& plan, ByteBuffer* dest)
+      : dest_(dest), delimiter_(plan.csv_delimiter_) {}
+  CsvRows(const ConversionPlan& plan, const ConversionInput&, ConvertedChunk* out)
+      : CsvRows(plan, &out->csv) {}
+
+  void BeginRow() { mark_ = dest_->size(); }
+  ByteBuffer* Field(size_t i, bool /*null*/) {
+    if (i != 0) dest_->AppendByte(static_cast<uint8_t>(delimiter_));
+    return dest_;
+  }
+  /// Seals the record: HQ_ROWNUM, then `tail` (a quarantine reason), '\n'.
+  void CommitRow(uint64_t row_number, std::string_view tail = {}) {
+    dest_->AppendByte(static_cast<uint8_t>(delimiter_));
+    AppendIntText(row_number, delimiter_, dest_);
+    if (!tail.empty()) dest_->AppendString(tail);
+    dest_->AppendByte('\n');
+  }
+  void RollbackRow() { dest_->resize(mark_); }
+  void Finish() {}
+
+ private:
+  ByteBuffer* dest_;
+  char delimiter_;
+  size_t mark_ = 0;
+};
+
+/// HQB1 staging: fields go into the chunk's column builder, which emits one
+/// block at Finish.
+class ConversionPlan::ColumnRows {
+ public:
+  using Sink = Hqb1ColumnSink;
+  using TextTwin = CsvRows;
+
+  // Every record carries at least its 2-byte length prefix, so a chunk
+  // header claiming more rows than that cannot inflate the reservation.
+  ColumnRows(const ConversionPlan& plan, const ConversionInput& input, ConvertedChunk* out)
+      : builder_(plan.target_widths_,
+                 static_cast<uint32_t>(
+                     std::min<size_t>(input.chunk.row_count, input.chunk.payload.size() / 2))),
+        header_(plan.header_template_),
+        out_(&out->csv) {}
+
+  void BeginRow() {}
+  ColumnSink* Field(size_t i, bool /*null*/) { return builder_.col(i); }
+  void CommitRow(uint64_t row_number, std::string_view /*tail*/ = {}) {
+    builder_.CommitRow(row_number);
+  }
+  void RollbackRow() { builder_.RollbackRow(); }
+  void Finish() { builder_.Finish(header_, out_); }
+
+ private:
+  ColumnarChunkBuilder builder_;
+  const ByteBuffer& header_;
+  ByteBuffer* out_;
+};
+
+/// Schema drift: each SOURCE field is buffered as a finished cell of the
+/// inner policy's sink (escaped text, or typed staging bytes — the drift is
+/// type-stable, so a matched source cell is the target cell), and the
+/// record is emitted in TARGET order at commit; unmatched target slots are
+/// NULL. Nothing reaches the inner policy before commit, so rollback has
+/// nothing to undo.
+template <class Inner>
+class ConversionPlan::RemapRows {
+ public:
+  using Sink = typename Inner::Sink;
+  using TextTwin = RemapRows<CsvRows>;
+
+  template <class... Args>
+  explicit RemapRows(const ConversionPlan& plan, Args&&... args)
+      : inner_(plan, std::forward<Args>(args)...),
+        out_source_(plan.out_source_),
+        cells_(plan.fields_.size()),
+        null_(plan.fields_.size(), 0) {}
+
+  void BeginRow() { inner_.BeginRow(); }
+  typename Sink::Out* Field(size_t i, bool null) {
+    null_[i] = null ? 1 : 0;
+    Sink::Clear(&cells_[i]);
+    return &cells_[i];
+  }
+  void CommitRow(uint64_t row_number, std::string_view tail = {}) {
+    for (size_t t = 0; t < out_source_.size(); ++t) {
+      const int src = out_source_[t];
+      const bool null = src < 0 || null_[static_cast<size_t>(src)] != 0;
+      typename Sink::Out* out = inner_.Field(t, null);
+      if (null) {
+        Sink::Null(out);
+      } else {
+        Sink::Copy(cells_[static_cast<size_t>(src)], out);
+      }
+    }
+    inner_.CommitRow(row_number, tail);
+  }
+  void RollbackRow() { inner_.RollbackRow(); }
+  void Finish() { inner_.Finish(); }
+
+ private:
+  Inner inner_;
+  const std::vector<int>& out_source_;
+  std::vector<typename Sink::Out> cells_;
+  std::vector<uint8_t> null_;
+};
+
+// --- Compilation --------------------------------------------------------------
 
 ConversionPlan ConversionPlan::Compile(const types::Schema& layout, legacy::DataFormat format,
                                        char legacy_delimiter, cdw::CsvOptions csv_options,
@@ -256,12 +652,12 @@ ConversionPlan ConversionPlan::Compile(const types::Schema& layout, legacy::Data
   plan.fields_.reserve(layout.num_fields());
   size_t fixed = 0;
   for (const auto& field : layout.fields()) {
-    KernelInfo info = KernelFor(field.type);
+    DecodeInfo info = DecodeFor(field.type);
     FieldPlan fp;
-    fp.kernel = info.kernel;
+    fp.text_decode = info.text;
+    fp.column_decode = info.column;
     fp.scale = field.type.scale;
     fp.length = field.type.length;
-    fp.width_hint = info.width_hint;
     fp.csv_delimiter = csv_options.delimiter;
     plan.fields_.push_back(fp);
     fixed += info.width_hint;
@@ -269,9 +665,61 @@ ConversionPlan ConversionPlan::Compile(const types::Schema& layout, legacy::Data
   }
   plan.per_row_hint_ = fixed + layout.num_fields() + kRowNumSuffixHint;
   if (staging_format == cdw::StagingFormat::kBinary && staging_schema != nullptr) {
-    plan.AttachBinaryStaging(layout, *staging_schema);
+    plan.AttachBinaryStaging(*staging_schema);
   }
   return plan;
+}
+
+ConversionPlan ConversionPlan::CompileRemapped(const types::Schema& source_layout,
+                                               const types::Schema& target_layout,
+                                               legacy::DataFormat format, char legacy_delimiter,
+                                               cdw::CsvOptions csv_options,
+                                               cdw::StagingFormat staging_format,
+                                               const types::Schema* staging_schema) {
+  // Decodes, indicator width and size hints all describe the SOURCE layout
+  // (what arrives on the wire); block headers and column widths come from
+  // the TARGET staging schema (what the staging table was created from).
+  ConversionPlan plan = Compile(source_layout, format, legacy_delimiter, csv_options,
+                                staging_format, staging_schema);
+  plan.remapped_ = true;
+  plan.out_source_.reserve(target_layout.num_fields());
+  for (const auto& field : target_layout.fields()) {
+    int src = source_layout.FieldIndex(field.name);
+    plan.out_source_.push_back(src);
+    if (src < 0) ++plan.nulled_targets_;
+  }
+  for (const auto& field : source_layout.fields()) {
+    if (target_layout.FieldIndex(field.name) < 0) ++plan.dropped_sources_;
+  }
+  return plan;
+}
+
+void ConversionPlan::AttachBinaryStaging(const types::Schema& staging_schema) {
+  staging_format_ = cdw::StagingFormat::kBinary;
+  header_template_.clear();
+  cdw::BuildBlockHeader(staging_schema, &header_template_);
+  target_widths_.clear();
+  target_widths_.reserve(staging_schema.num_fields());
+  size_t fixed = 0;
+  size_t nvarlen = 0;
+  for (const auto& field : staging_schema.fields()) {
+    auto w = static_cast<uint32_t>(cdw::BinaryFixedWidth(field.type.id, field.type.length));
+    target_widths_.push_back(w);
+    if (w == 0) {
+      ++nvarlen;
+    } else {
+      fixed += w;
+    }
+  }
+  per_row_binary_hint_ = fixed + 4 * nvarlen + (staging_schema.num_fields() + 7) / 8;
+}
+
+void ConversionPlan::AttachQuality(const CompiledQuality* quality) {
+  quality_ = quality;
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    fields_[i].checks =
+        quality != nullptr && i < quality->num_fields() ? quality->field_checks(i) : nullptr;
+  }
 }
 
 size_t ConversionPlan::EstimateCsvBytes(uint32_t row_count, size_t payload_bytes) const {
@@ -300,178 +748,134 @@ size_t ConversionPlan::EstimateStagingBytes(uint32_t row_count, size_t payload_b
   return std::max(estimate, payload_bytes + payload_bytes / 8);
 }
 
-Status ConversionPlan::BinaryBodyToCsv(Slice record, uint64_t row_number, ByteBuffer* out,
-                                       QualityScratch* q) const {
+// --- The two chunk loops ----------------------------------------------------
+
+template <class Rows>
+Status ConversionPlan::EmitBinaryRecord(Slice record, Rows* rows, QualityScratch* q) const {
+  using Sink = typename Rows::Sink;
   ByteReader body(record);
   HQ_ASSIGN_OR_RETURN(Slice indicators, body.ReadSlice(indicator_bytes_));
   for (size_t i = 0; i < fields_.size(); ++i) {
-    if (i != 0) out->AppendByte(static_cast<uint8_t>(csv_delimiter_));
+    const FieldPlan& f = fields_[i];
     const bool null = (indicators[i / 8] & (0x80u >> (i % 8))) != 0;
-    HQ_RETURN_NOT_OK(fields_[i].kernel(fields_[i], &body, null, out, q));
+    HQ_RETURN_NOT_OK(Sink::DecodeOf(f)(f, &body, null, rows->Field(i, null), q));
   }
   if (!body.AtEnd()) {
     return Status::ProtocolError("trailing bytes in legacy binary record");
   }
-  out->AppendByte(static_cast<uint8_t>(csv_delimiter_));
-  AppendIntText(row_number, csv_delimiter_, out);
-  out->AppendByte('\n');
   return Status::OK();
 }
 
-Status ConversionPlan::BinaryRecordToCsv(ByteReader* reader, uint64_t row_number,
-                                         ByteBuffer* out, QualityScratch* q) const {
-  HQ_ASSIGN_OR_RETURN(Slice record, reader->ReadLengthPrefixed16());
-  return BinaryBodyToCsv(record, row_number, out, q);
-}
-
-Status ConversionPlan::ExecuteBinary(const ConversionInput& input, ConvertedChunk* out) const {
-  ByteReader reader(Slice(input.chunk.payload));
-  uint64_t row_number = input.first_row_number;
-  size_t capacity = out->csv.vector().capacity();
-  const CompiledQuality* cq = quality_;
-  QualityScratch qs;
-  if (cq != nullptr) qs.Init(*cq);
-  while (!reader.AtEnd()) {
-    const size_t mark = out->csv.size();
-    if (cq != nullptr) qs.BeginRow();
-    Status s = BinaryRecordToCsv(&reader, row_number, &out->csv, &qs);
-    if (!s.ok()) {
-      // Binary decode is positional: a bad record invalidates the rest of
-      // the chunk payload. Roll back the partially-emitted record.
-      out->csv.resize(mark);
-      out->errors.push_back(RecordError{row_number, legacy::kErrFormatViolation, "",
-                                        s.message() + " (remainder of chunk skipped)"});
-      break;
-    }
-    if (cq != nullptr) {
-      QcFinishRow(&qs);
-      qs.CommitRowStats();
-      if (qs.row_kind != QualityKind::kNone) {
-        // Record-atomic diversion: the emitted line moves to the quarantine
-        // stream with its reason tail; the staging output rolls back.
-        QcQuarantineCsvRow(*cq, &qs, &out->csv, mark, &out->qrtn);
-        ++row_number;
-        continue;
+template <class Rows>
+size_t ConversionPlan::EmitVartextRecord(std::string_view text, Rows* rows,
+                                         QualityScratch* q) const {
+  using Sink = typename Rows::Sink;
+  // Raw pointers and unchecked string_view construction (start <= i <=
+  // size() always holds): substr's bounds check would put
+  // __throw_out_of_range_fmt on the hot path (hqcheck hotpath-symbol).
+  const char* data = text.data();
+  const FieldPlan* fields = fields_.data();
+  const size_t expected = fields_.size();
+  const char delimiter = legacy_delimiter_;
+  size_t nfields = 0;
+  size_t start = 0;
+  for (size_t i = 0; i <= text.size(); ++i) {
+    if (i != text.size() && data[i] != delimiter) continue;
+    if (nfields < expected) {
+      // Every vartext field is text: the string check op runs fused into
+      // the split, and an empty field is NULL (legacy rule).
+      const FieldPlan& f = fields[nfields];
+      const size_t len = i - start;
+      if (f.checks != nullptr) QcString(*f.checks, len == 0, data + start, len, q);
+      typename Sink::Out* out = rows->Field(nfields, len == 0);
+      if (len == 0) {
+        Sink::Null(out);
+      } else {
+        Sink::Text(f, std::string_view(data + start, len), out);
       }
     }
-    ++out->rows_out;
-    ++row_number;
-    if (out->csv.vector().capacity() != capacity) {
-      capacity = out->csv.vector().capacity();
-      ++out->csv_reallocs;
-    }
+    ++nfields;
+    start = i + 1;
   }
-  if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-  return Status::OK();
+  return nfields;
 }
 
-Status ConversionPlan::ExecuteVartext(const ConversionInput& input, ConvertedChunk* out) const {
+// Out of line so each (loop x policy) instantiation is its own symbol: the
+// hotpath driver proof roots at every one of them.
+template <class Rows>
+__attribute__((noinline)) Status ConversionPlan::ConvertBinary(const ConversionInput& input,
+                                                               ConvertedChunk* out) const {
+  ByteReader reader(Slice(input.chunk.payload));
+  uint64_t row_number = input.first_row_number;
+  ChunkOutput<Rows> chunk(*this, quality_, input, out);
+  while (!reader.AtEnd()) {
+    chunk.BeginRow();
+    Slice record;
+    Status status = [&]() -> Status {
+      HQ_ASSIGN_OR_RETURN(record, reader.ReadLengthPrefixed16());
+      return EmitBinaryRecord(record, &chunk.rows, &chunk.qs);
+    }();
+    if (!status.ok()) {
+      // Binary decode is positional: a bad record invalidates the rest of
+      // the chunk payload. Roll back the partially-emitted record.
+      chunk.rows.RollbackRow();
+      AddFormatViolation(row_number, status, &out->errors);
+      break;
+    }
+    chunk.EndRow(row_number++,
+                 [&](auto* twin) { return EmitBinaryRecord(record, twin, &chunk.qs); });
+  }
+  return chunk.Finish();
+}
+
+template <class Rows>
+__attribute__((noinline)) Status ConversionPlan::ConvertVartext(const ConversionInput& input,
+                                                                ConvertedChunk* out) const {
   ByteReader reader(Slice(input.chunk.payload));
   uint64_t row_number = input.first_row_number;
   const size_t expected = fields_.size();
-  size_t capacity = out->csv.vector().capacity();
-  const CompiledQuality* cq = quality_;
-  // Raw pointer into the field table: vector::operator[] is an opaque call
-  // in unoptimized builds, and this lookup sits inside the per-field split
-  // loop (the bench-smoke quality-overhead gate measures that build).
-  const FieldPlan* field_plans = fields_.data();
-  QualityScratch qs;
-  if (cq != nullptr) qs.Init(*cq);
+  ChunkOutput<Rows> chunk(*this, quality_, input, out);
   while (!reader.AtEnd()) {
     auto line = reader.ReadLengthPrefixed16();
     if (!line.ok()) {
       // A framing error poisons the rest of the chunk (reference semantics).
-      if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-      return line.status().WithContext("chunk " + std::to_string(input.chunk.chunk_seq));  // hqlint:allow(per-row-alloc)
+      chunk.FinishQuality();
+      return FramingError(line.status(), input.chunk.chunk_seq);
     }
-    std::string_view text = line.ValueOrDie().ToStringView();
-    const char* text_data = text.data();
-    const size_t mark = out->csv.size();
-    if (cq != nullptr) qs.BeginRow();
-    size_t nfields = 0;
-    size_t start = 0;
-    for (size_t i = 0; i <= text.size(); ++i) {
-      if (i == text.size() || text[i] == legacy_delimiter_) {
-        if (nfields != 0) out->csv.AppendByte(static_cast<uint8_t>(csv_delimiter_));
-        // Unchecked construction: start <= i <= size() always holds, and
-        // substr's bounds check would put __throw_out_of_range_fmt on the
-        // hot path (hqcheck hotpath-symbol).
-        const size_t flen = i - start;
-        std::string_view field(text_data + start, flen);
-        // Vartext has no kernels: the quality check op runs fused into the
-        // split loop. Like the columnar kernels, the guard is the checks
-        // pointer itself (nullptr on every field when the gate is off), so
-        // both gate modes pay the same predicted branch. Raw pointer+length
-        // arguments: string_view accessors are opaque calls in unoptimized
-        // builds (the overhead gate's build).
-        if (nfields < expected) {
-          const QualityFieldChecks* checks = field_plans[nfields].checks;
-          if (checks != nullptr) QcString(*checks, flen == 0, text_data + start, flen, &qs);
-        }
-        // Empty vartext field == NULL (legacy rule): emit nothing.
-        if (!field.empty()) AppendCsvText(field, csv_delimiter_, &out->csv);
-        ++nfields;
-        start = i + 1;
-      }
-    }
+    const std::string_view text = line.ValueOrDie().ToStringView();
+    chunk.BeginRow();
+    const size_t nfields = EmitVartextRecord(text, &chunk.rows, &chunk.qs);
     if (nfields != expected) {
-      out->csv.resize(mark);
-      out->errors.push_back(
-          RecordError{row_number, legacy::kErrFieldCountMismatch, "",
-                      "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
-                          " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+      chunk.rows.RollbackRow();
+      AddArityMismatch(row_number, nfields, expected, &out->errors);
       ++row_number;
       continue;
     }
-    out->csv.AppendByte(static_cast<uint8_t>(csv_delimiter_));
-    AppendIntText(row_number, csv_delimiter_, &out->csv);
-    out->csv.AppendByte('\n');
-    if (cq != nullptr) {
-      QcFinishRow(&qs);
-      qs.CommitRowStats();
-      if (qs.row_kind != QualityKind::kNone) {
-        QcQuarantineCsvRow(*cq, &qs, &out->csv, mark, &out->qrtn);
-        ++row_number;
-        continue;
-      }
-    }
-    ++out->rows_out;
-    ++row_number;
-    if (out->csv.vector().capacity() != capacity) {
-      capacity = out->csv.vector().capacity();
-      ++out->csv_reallocs;
-    }
+    chunk.EndRow(row_number++, [&](auto* twin) {
+      (void)EmitVartextRecord(text, twin, &chunk.qs);  // arity already checked
+      return Status::OK();
+    });
   }
-  if (cq != nullptr) FinishChunkQuality(*cq, qs, &out->quality);
-  return Status::OK();
-}
-
-void ConversionPlan::AttachQuality(const CompiledQuality* quality) {
-  quality_ = quality;
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    fields_[i].checks =
-        quality != nullptr && i < quality->num_fields() ? quality->field_checks(i) : nullptr;
-  }
+  return chunk.Finish();
 }
 
 Status ConversionPlan::Execute(const ConversionInput& input, ConvertedChunk* out) const {
   out->order_index = input.order_index;
   out->first_row_number = input.first_row_number;
   out->rows_in = input.chunk.row_count;
+  const bool vartext = format_ == legacy::DataFormat::kVartext;
   if (staging_format_ == cdw::StagingFormat::kBinary) {
     if (remapped_) {
-      if (format_ == legacy::DataFormat::kVartext) return ExecuteColumnarRemappedVartext(input, out);
-      return ExecuteColumnarRemappedBinary(input, out);
+      return vartext ? ConvertVartext<RemapRows<ColumnRows>>(input, out)
+                     : ConvertBinary<RemapRows<ColumnRows>>(input, out);
     }
-    if (format_ == legacy::DataFormat::kVartext) return ExecuteColumnarVartext(input, out);
-    return ExecuteColumnarBinary(input, out);
+    return vartext ? ConvertVartext<ColumnRows>(input, out) : ConvertBinary<ColumnRows>(input, out);
   }
   if (remapped_) {
-    if (format_ == legacy::DataFormat::kVartext) return ExecuteRemappedVartext(input, out);
-    return ExecuteRemappedBinary(input, out);
+    return vartext ? ConvertVartext<RemapRows<CsvRows>>(input, out)
+                   : ConvertBinary<RemapRows<CsvRows>>(input, out);
   }
-  if (format_ == legacy::DataFormat::kVartext) return ExecuteVartext(input, out);
-  return ExecuteBinary(input, out);
+  return vartext ? ConvertVartext<CsvRows>(input, out) : ConvertBinary<CsvRows>(input, out);
 }
 
 }  // namespace hyperq::core

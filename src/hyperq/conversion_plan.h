@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "cdw/staging_format.h"
@@ -15,12 +16,14 @@
 /// stage (paper Section 4). Where the reference path materializes every cell
 /// as a types::Value and then a per-cell std::string inside a cdw::CsvRecord,
 /// a ConversionPlan is built once per layout at DataConverter::Create time as
-/// a vector of per-field kernel functions (one per TypeId x format) that
-/// decode a field straight off the chunk's ByteReader and append its
-/// CSV-escaped text directly into the output ByteBuffer. Numeric, decimal and
-/// date/timestamp formatting go through fixed-size stack scratch
-/// (std::to_chars-style), so steady-state conversion performs O(1) heap
-/// allocations per row (the output buffer growth, amortized and pooled).
+/// a vector of per-field decode functions (one per TypeId, instantiated once
+/// per staging sink) that decode a field straight off the chunk's ByteReader
+/// and hand the value to the sink: CSV-escaped text appended into the output
+/// ByteBuffer, or a typed HQB1 cell appended to the field's column.
+/// Numeric, decimal and date/timestamp formatting go through fixed-size
+/// stack scratch (std::to_chars-style), so steady-state conversion performs
+/// O(1) heap allocations per chunk (the output buffer growth, amortized and
+/// pooled).
 ///
 /// Contract: output bytes and error capture are bit-identical to
 /// DataConverter::ConvertReference — same CSV escaping, same NULL vs
@@ -41,29 +44,23 @@ class ConversionPlan {
  public:
   struct FieldPlan;
 
-  /// A field kernel consumes the field's wire bytes from `body` (always, even
-  /// for NULL fields: binary slots are positional) and, when not null,
-  /// appends the CSV-escaped text to `out`. When the field carries quality
-  /// checks (`f.checks != nullptr`) the kernel runs them fused over the
-  /// decoded value into `q`; gate-off cost is that one predicted branch.
-  /// Errors must carry exactly the message the reference decode path would
-  /// produce.
-  using FieldKernel = common::Status (*)(const FieldPlan&, common::ByteReader* body, bool null,
-                                         common::ByteBuffer* out, QualityScratch* q);
-
-  /// The HQB1 counterpart of FieldKernel: consumes the same wire bytes but
-  /// appends the typed staging value (little-endian, already widened to the
-  /// CDW-mapped staging type) to the field's ColumnSink. NULL cells append
-  /// the zero-filled fixed slot (nothing for varlen); the caller owns the
-  /// null bitmap. Quality checks fuse here exactly as in FieldKernel.
-  /// Implemented in conversion_columnar.cc.
-  using ColumnKernel = common::Status (*)(const FieldPlan&, common::ByteReader* body, bool null,
-                                          ColumnSink* col, QualityScratch* q);
+  /// A field decode consumes the field's wire bytes from `body` (always, even
+  /// for NULL fields: binary slots are positional) and hands the value to
+  /// `out`: CSV-escaped text (nothing for NULL) into a ByteBuffer, or the
+  /// typed little-endian staging value (a zero-filled slot for NULL) into a
+  /// ColumnSink. When the field carries quality checks (`f.checks !=
+  /// nullptr`) the decode runs them fused over the decoded value into `q`;
+  /// gate-off cost is that one predicted branch. Errors must carry exactly
+  /// the message the reference decode path would produce.
+  template <typename Out>
+  using FieldDecode = common::Status (*)(const FieldPlan&, common::ByteReader* body, bool null,
+                                         Out* out, QualityScratch* q);
 
   struct FieldPlan {
-    FieldKernel kernel = nullptr;
-    /// HQB1 columnar kernel (set only when compiled for binary staging).
-    ColumnKernel col_kernel = nullptr;
+    /// The field type's decode, instantiated for the CSV text sink.
+    FieldDecode<common::ByteBuffer> text_decode = nullptr;
+    /// The same decode instantiated for the HQB1 column sink.
+    FieldDecode<ColumnSink> column_decode = nullptr;
     /// Fused quality check ops for this field (nullptr = none; the clean
     /// path tests exactly this pointer). Owned by DataConverter's
     /// CompiledQuality, attached via AttachQuality.
@@ -72,11 +69,9 @@ class ConversionPlan {
     int32_t scale = 0;
     /// CHAR width in bytes.
     int32_t length = 0;
-    /// Worst-case CSV text width for fixed-width types (0 = payload-carried).
-    uint32_t width_hint = 0;
     /// Fixed width of the field's CDW-mapped staging cell (0 = varlen).
     uint32_t staging_width = 0;
-    /// CSV output delimiter (copied here so kernels stay context-free).
+    /// CSV output delimiter (copied here so decodes stay context-free).
     char csv_delimiter = ',';
   };
 
@@ -96,9 +91,9 @@ class ConversionPlan {
   /// matched by name, case-insensitively:
   ///   - a source field absent from the target is decoded and dropped,
   ///   - a target field absent from the source becomes NULL,
-  ///   - matched fields are emitted in target order with the source kernel.
-  /// Implemented in conversion_remap.cc (off the fused hot path: drift
-  /// windows are rare and correctness beats fusion there).
+  ///   - matched fields are emitted in target order with the source decode.
+  /// The same chunk loops run it, with a row policy that buffers each source
+  /// field and emits the record in target order at commit.
   /// With binary staging, `staging_schema` is the TARGET layout's staging
   /// schema (what the staging table and the block headers carry); the caller
   /// (DataConverter::CreateRemapped) must already have verified the drift is
@@ -119,7 +114,7 @@ class ConversionPlan {
 
   /// Converts one chunk into `out` (csv is appended to; metadata fields and
   /// errors are filled in). Per-record data errors are collected and the
-  /// partial CSV of the offending record is rolled back; only a vartext
+  /// partial output of the offending record is rolled back; only a vartext
   /// framing error fails the whole chunk (mirroring the reference path).
   /// With a quality gate attached, rows violating a constraint are diverted
   /// record-atomically into `out->qrtn` (always CSV: raw field text in
@@ -150,31 +145,29 @@ class ConversionPlan {
  private:
   ConversionPlan() = default;
 
-  common::Status ExecuteBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteRemappedBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteRemappedVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  /// HQB1 columnar drivers (conversion_columnar.cc): same chunk loop and
-  /// error/rollback semantics as the CSV drivers above, emitting one HQB1
-  /// block instead of CSV lines.
-  common::Status ExecuteColumnarBinary(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteColumnarVartext(const ConversionInput& input, ConvertedChunk* out) const;
-  common::Status ExecuteColumnarRemappedBinary(const ConversionInput& input,
-                                               ConvertedChunk* out) const;
-  common::Status ExecuteColumnarRemappedVartext(const ConversionInput& input,
-                                                ConvertedChunk* out) const;
-  /// Binds the HQB1 encoding state (header template, target widths, column
-  /// kernels for `source_layout`'s fields). Defined in conversion_columnar.cc.
-  void AttachBinaryStaging(const types::Schema& source_layout,
-                           const types::Schema& staging_schema);
-  /// Fused decode+encode of one binary record (fields, HQ_ROWNUM, newline).
-  common::Status BinaryRecordToCsv(common::ByteReader* reader, uint64_t row_number,
-                                   common::ByteBuffer* out, QualityScratch* q) const;
-  /// Same, over an already-framed record body — shared by BinaryRecordToCsv
-  /// and the columnar drivers' quarantine re-render (a violating HQB1 row is
-  /// re-encoded as CSV text for the quarantine stream).
-  common::Status BinaryBodyToCsv(common::Slice record, uint64_t row_number,
-                                 common::ByteBuffer* out, QualityScratch* q) const;
+  /// Row-output policies (defined in conversion_plan.cc): where a record's
+  /// decoded fields go and how a record commits, rolls back and finishes.
+  class CsvRows;
+  class ColumnRows;
+  template <class Inner>
+  class RemapRows;
+
+  /// The two chunk loops, one per wire format, each instantiated once per
+  /// row policy (CSV or HQB1 staging, plain or drift-remapped).
+  template <class Rows>
+  common::Status ConvertBinary(const ConversionInput& input, ConvertedChunk* out) const;
+  template <class Rows>
+  common::Status ConvertVartext(const ConversionInput& input, ConvertedChunk* out) const;
+  /// Decodes one framed binary record body into `rows`.
+  template <class Rows>
+  common::Status EmitBinaryRecord(common::Slice record, Rows* rows, QualityScratch* q) const;
+  /// Splits one vartext line into `rows` (fields past the layout's arity
+  /// are counted, not emitted); returns the field count.
+  template <class Rows>
+  size_t EmitVartextRecord(std::string_view text, Rows* rows, QualityScratch* q) const;
+
+  /// Binds the HQB1 encoding state (header template, target widths).
+  void AttachBinaryStaging(const types::Schema& staging_schema);
 
   std::vector<FieldPlan> fields_;
   legacy::DataFormat format_ = legacy::DataFormat::kBinary;

@@ -15,8 +15,8 @@
 /// \file quality.h
 /// Declarative data-quality gate (ROADMAP "Data-quality gate and quarantine
 /// path"): per-table constraint specs parsed off the hot path and compiled
-/// into the conversion kernels of BOTH staging families as fused per-field
-/// check ops. Violating rows are diverted record-atomically into a
+/// into the per-type conversion decodes (shared by both staging sinks) as
+/// fused per-field check ops. Violating rows are diverted record-atomically into a
 /// quarantine CSV stream (loaded into HQ_QRTN_<job> through the same
 /// upload→COPY tail as staging data) carrying the raw field values plus a
 /// reason code richer than ET codes: constraint id, kind, column, violated
@@ -125,10 +125,11 @@ inline constexpr size_t kMaxQualityFields = 128;
 inline constexpr size_t kMaxQualityConstraints = 64;
 inline constexpr size_t kMaxQualityCaptures = 32;
 
-/// The check ops run per field inside the conversion kernels, and the
-/// bench-smoke overhead gate (<2% on clean data) is measured on the default
-/// unoptimized preset, where plain `inline` is ignored and every helper call
-/// pays a full stack frame. Force-inline the hot helpers so the clean path
+/// The check ops run per field inside the conversion decodes, and the
+/// bench-smoke overhead gate (<2% on clean data) holds them to that. The
+/// default preset is RelWithDebInfo (-O2), whose inliner may still decline
+/// plain `inline` helpers once a decode body or the translation unit hits
+/// its size limits. Force-inline the hot helpers so the clean path always
 /// costs a few predicted branches instead of call overhead.
 #define HQ_QC_FORCE_INLINE inline __attribute__((always_inline))
 
@@ -253,8 +254,8 @@ struct QualityScratch {
   uint32_t field_nulls[kMaxQualityFields] = {};
   uint8_t num_captures = 0;
   /// Cross-check table cached out of CompiledQuality: QcFinishRow runs per
-  /// row, and accessor/begin/end member calls are opaque in unoptimized
-  /// builds (the overhead gate's build).
+  /// row, and reading it here is one load from the scratch instead of a
+  /// pointer chase through CompiledQuality's vector.
   const QualityCrossCheck* cross = nullptr;
   size_t ncross = 0;
 
@@ -315,8 +316,7 @@ HQ_QC_FORCE_INLINE void QcNullField(const QualityFieldChecks& c, QualityScratch*
 
 /// Iterative glob matcher: '*' any run, '?' any one byte, else literal.
 /// No recursion, no allocation, O(n*m) worst case on adversarial patterns.
-/// Raw pointer + length (not string_view): the accessor members are opaque
-/// calls in unoptimized builds, which the overhead gate measures.
+/// Raw pointer + length (not string_view): QcString's callers hold both.
 HQ_QC_FORCE_INLINE bool QcGlobMatch(const char* p, uint32_t plen, const char* s, size_t n) {
   size_t pi = 0;
   size_t si = 0;
@@ -355,9 +355,8 @@ HQ_QC_FORCE_INLINE void QcNumeric(const QualityFieldChecks& c, bool null, double
 }
 
 /// String-family check op (CHAR/VARCHAR, and every vartext field). Takes a
-/// raw pointer + length rather than string_view: the drivers already hold
-/// both, and string_view's accessors are opaque per-call overhead in the
-/// unoptimized build the overhead gate measures.
+/// raw pointer + length rather than string_view: the decodes and the
+/// vartext split already hold both.
 HQ_QC_FORCE_INLINE void QcString(const QualityFieldChecks& c, bool null, const char* s, size_t n,
                                  QualityScratch* q) {
   if (null) {

@@ -469,6 +469,48 @@ TEST(HqcheckHotpathTest, BenignLeafIsClean) {
   EXPECT_TRUE(Prove(FakeDisasm("memcpy"), "::Kernel").empty());
 }
 
+TEST(HqcheckHotpathTest, SectionRelativeAndAssemblerResolvedCallsAreFollowed) {
+  // A template instantiation in its own COMDAT section reaches an
+  // internal-linkage helper in .text only through a section-relative
+  // relocation (`.text+0x1c` = the helper at 0x20), and that helper calls a
+  // second one in the same section with no relocation at all. Both edges
+  // must be walked, or the lock behind them would go unseen. The call that
+  // ends KernelHot carries a relocation, so its displayed target (the next
+  // function) is a placeholder, not an edge.
+  const std::string disasm =
+      "fake/kernels.o:     file format elf64-x86-64\n"
+      "\n"
+      "Disassembly of section .text:\n"
+      "\n"
+      "0000000000000000 <_ZN4demo9KernelHotEv>:\n"
+      "   b:\tcall   10 <_ZN12_GLOBAL__N_15UnrelEv>\n"
+      "\t\t\tc: R_X86_64_PLT32\tmemcpy-0x4\n"
+      "\n"
+      "0000000000000010 <_ZN12_GLOBAL__N_15UnrelEv>:\n"
+      "  14:\tcall   19 <_ZN12_GLOBAL__N_15UnrelEv+0x9>\n"
+      "\t\t\t15: R_X86_64_PLT32\tpthread_mutex_unlock-0x4\n"
+      "\n"
+      "0000000000000020 <_ZN12_GLOBAL__N_16HelperEv>:\n"
+      "  24:\tcall   40 <_ZN12_GLOBAL__N_15InnerEv>\n"
+      "\n"
+      "0000000000000040 <_ZN12_GLOBAL__N_15InnerEv>:\n"
+      "  44:\tcall   49 <_ZN12_GLOBAL__N_15InnerEv+0x9>\n"
+      "\t\t\t45: R_X86_64_PLT32\tpthread_mutex_lock-0x4\n"
+      "\n"
+      "Disassembly of section .text._ZN4demo10KernelLoopEv:\n"
+      "\n"
+      "0000000000000000 <_ZN4demo10KernelLoopEv>:\n"
+      "   4:\tcall   9 <_ZN4demo10KernelLoopEv+0x9>\n"
+      "\t\t\t5: R_X86_64_PLT32\t.text+0x1c\n";
+  std::vector<std::string> got = FormatAll(Prove(disasm, "::Kernel"));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(got[0].find("lock symbol `pthread_mutex_lock`"), std::string::npos) << got[0];
+  EXPECT_NE(got[0].find("demo::KernelLoop() -> (anonymous namespace)::Helper() -> "
+                        "(anonymous namespace)::Inner() -> pthread_mutex_lock"),
+            std::string::npos)
+      << got[0];
+}
+
 TEST(HqcheckHotpathTest, EmptyRootSetFailsTheProof) {
   std::vector<std::string> got = FormatAll(Prove(FakeDisasm("memcpy"), "::NoSuchRoot"));
   EXPECT_EQ(got, (std::vector<std::string>{

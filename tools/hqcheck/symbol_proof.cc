@@ -1,7 +1,9 @@
 #include <cxxabi.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <regex>
@@ -27,11 +29,12 @@
 /// justification. The canonical entries are the vector<unsigned char>
 /// growth machinery — gcc inlines the push_back slow path (operator new +
 /// __throw_length_error guard) straight into the kernel bodies, and that
-/// amortized growth is sanctioned because bench_smoke separately gates the
-/// hyperq_convert_csv_realloc_total counter to 0 allocations/row. The
-/// static proof and the runtime counter are complementary halves of the
-/// same claim: the proof pins *what kinds* of runtime machinery the kernels
-/// can touch, the counter pins *how often* the one allowed kind fires.
+/// amortized growth is sanctioned because bench_smoke separately fails when
+/// the compiled plan makes any steady-state allocation (global operator new
+/// count over warm, pooled conversions). The static proof and the runtime
+/// count are complementary halves of the same claim: the proof pins *what
+/// kinds* of runtime machinery the kernels can touch, the count pins *how
+/// often* the one allowed kind fires.
 
 namespace hqcheck {
 
@@ -94,18 +97,47 @@ struct CallGraph {
 /// Parses concatenated `objdump -dr` output. Function bodies start with
 /// `0000... <mangled>:`; call/jump targets appear as relocation lines
 /// (`R_X86_64_PLT32  _Znwm-0x4`). Object boundaries come from objdump's
-/// `path:  file format ...` banner.
+/// `path:  file format ...` banner. Two kinds of edge carry no symbol name
+/// and are resolved by address instead: a relocation against a section
+/// (`.text+0x6c1c` — a template instantiation in its own COMDAT section
+/// calling an internal-linkage helper in .text), and a call or jump the
+/// assembler resolved itself (no relocation: both ends in one section),
+/// which objdump shows as `call 6c20 <helper>`.
 CallGraph ParseDisassembly(const std::string& disasm) {
   CallGraph g;
   std::istringstream in(disasm);
   std::string line;
   std::string current_object = "<unknown object>";
+  std::string current_section;
   std::string current_fn;
   std::set<std::pair<std::string, std::string>> seen_edges;
+  auto add_edge = [&](const std::string& from, const std::string& to) {
+    if (to.empty() || to == from) return;  // recursion is not an edge
+    if (seen_edges.insert({from, to}).second) g.edges[from].push_back(to);
+  };
+  // (object, section) -> function start offsets within that section.
+  std::map<std::pair<std::string, std::string>, std::map<uint64_t, std::string>> functions;
+  struct SectionRef {
+    std::string from;
+    std::pair<std::string, std::string> section;
+    uint64_t offset;
+  };
+  std::vector<SectionRef> section_refs;
+  // A call's displayed target is only real when no relocation line follows
+  // it (with one, objdump shows the placeholder: the next instruction).
+  std::string direct_target;
   while (std::getline(in, line)) {
+    const bool is_reloc = line.find("R_X86_64_") != std::string::npos;
+    if (!is_reloc && !direct_target.empty()) add_edge(current_fn, direct_target);
+    direct_target.clear();
     size_t banner = line.find(":     file format ");
     if (banner != std::string::npos) {
       current_object = line.substr(0, banner);
+      continue;
+    }
+    if (line.rfind("Disassembly of section ", 0) == 0) {
+      current_section = line.substr(23);
+      if (!current_section.empty() && current_section.back() == ':') current_section.pop_back();
       continue;
     }
     // `0000000000000f00 <_ZN6...>:`
@@ -119,27 +151,63 @@ CallGraph ParseDisassembly(const std::string& disasm) {
           g.object_of[current_fn] = current_object;
           g.definition_order.push_back(current_fn);
         }
+        functions[{current_object, current_section}][std::strtoull(line.c_str(), nullptr, 16)] =
+            current_fn;
         continue;
       }
     }
+    if (current_fn.empty()) continue;
     size_t reloc = line.find("R_X86_64_");
-    if (reloc == std::string::npos || current_fn.empty()) continue;
+    if (reloc == std::string::npos) {
+      // `  4a:\tcall   6c20 <_ZN...helper...>`: the target is named exactly
+      // (no +offset) when it is a function start.
+      size_t insn = line.find("\tcall ");
+      if (insn == std::string::npos) insn = line.find("\tjmp ");
+      if (insn == std::string::npos) continue;
+      size_t open = line.find(" <", insn);
+      if (open == std::string::npos || line.back() != '>') continue;
+      std::string target = line.substr(open + 2, line.size() - open - 3);
+      if (target.find('+') == std::string::npos) direct_target = target;
+      continue;
+    }
     size_t sym_begin = line.find_first_of(" \t", reloc);
     if (sym_begin == std::string::npos) continue;
     sym_begin = line.find_first_not_of(" \t", sym_begin);
     if (sym_begin == std::string::npos) continue;
     std::string target = line.substr(sym_begin);
     while (!target.empty() && (target.back() == '\r' || target.back() == ' ')) target.pop_back();
-    // Strip the addend: `_Znwm-0x4`, `.text+0x40`.
-    size_t addend = target.find_last_of("+-");
-    if (addend != std::string::npos && target.compare(addend + 1, 2, "0x") == 0) {
-      target = target.substr(0, addend);
+    // Split the addend off: `_Znwm-0x4`, `.text+0x40`.
+    int64_t addend = 0;
+    size_t sign = target.find_last_of("+-");
+    if (sign != std::string::npos && target.compare(sign + 1, 2, "0x") == 0) {
+      addend = static_cast<int64_t>(std::strtoull(target.c_str() + sign + 3, nullptr, 16));
+      if (target[sign] == '-') addend = -addend;
+      target = target.substr(0, sign);
     }
-    if (target.empty() || target[0] == '.') continue;  // section-relative, not a symbol
-    if (target == current_fn) continue;                // recursion is not an edge
-    if (seen_edges.insert({current_fn, target}).second) {
-      g.edges[current_fn].push_back(target);
+    if (target.empty()) continue;
+    if (target[0] == '.') {
+      // PC-relative fields sit 4 bytes before the next instruction, which
+      // the addend compensates for: the referenced offset is addend + 4.
+      const bool pc_relative = line.find("R_X86_64_PC32", reloc) != std::string::npos ||
+                               line.find("R_X86_64_PLT32", reloc) != std::string::npos;
+      const int64_t offset = addend + (pc_relative ? 4 : 0);
+      if (offset >= 0) {
+        section_refs.push_back(
+            {current_fn, {current_object, target}, static_cast<uint64_t>(offset)});
+      }
+      continue;
     }
+    add_edge(current_fn, target);
+  }
+  if (!direct_target.empty()) add_edge(current_fn, direct_target);
+  // A section reference lands in the function whose body contains it; data
+  // sections hold no functions and resolve to nothing.
+  for (const SectionRef& ref : section_refs) {
+    auto sec = functions.find(ref.section);
+    if (sec == functions.end()) continue;
+    auto it = sec->second.upper_bound(ref.offset);
+    if (it == sec->second.begin()) continue;
+    add_edge(ref.from, std::prev(it)->second);
   }
   return g;
 }
