@@ -56,8 +56,8 @@ std::atomic<uint64_t> g_alloc_count{0};
 }  // namespace
 
 // Allocation observatory: count every global heap allocation so the harness
-// can report allocs/row per plan. (hqlint exempts `operator new`/`operator
-// delete` definitions from new-delete; the production sources never
+// can report allocs/row per plan. (hqcheck's new-delete rule exempts
+// `operator new`/`operator delete` definitions; the production sources never
 // override these.)
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);

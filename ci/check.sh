@@ -5,7 +5,7 @@
 # must pass; the script stops at the first failure.
 #
 #   ci/check.sh              # everything
-#   ci/check.sh lint         # hqlint + hqcheck source analysis
+#   ci/check.sh lint         # hqcheck source analysis
 #   ci/check.sh clang-tidy   # curated .clang-tidy over src/ (skips w/o clang)
 #   ci/check.sh default      # just the default preset build + tests
 #   ci/check.sh asan tsan    # just those sanitizer presets
@@ -67,18 +67,20 @@ check_lock_graph() {
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     lint)
-      echo "=== hqlint + hqcheck over src/, tests/, tools/ and bench/ ==="
+      echo "=== hqcheck over src/, tests/, tools/ and bench/ ==="
       cmake --preset lint
       cmake --build --preset lint -j "$JOBS"
-      ./build-lint/tools/hqlint/hqlint --root "$ROOT" src tests tools bench
-      # Semantic pass: guarded fields, lock ranks vs the manifest, nesting
-      # order, enum-switch coverage. Any unsuppressed finding fails the
-      # stage; the scan output is archived as a CI artifact. The binary-level
-      # hotpath proofs run in the default stage, which owns the hq_core
-      # objects they disassemble.
+      # Source rules: guarded fields, lock ranks vs the manifest, nesting
+      # order, enum-switch coverage, blocking under a lock, sync/alloc/retry
+      # hygiene and stale allow markers. Any unsuppressed finding fails the
+      # stage; the scan output is archived as a CI artifact. tests/ runs
+      # without the manifest: its test-only mutexes are not production ranks.
+      # The binary-level hotpath proofs run in the default stage, which owns
+      # the hq_core objects they disassemble.
       ./build-lint/tools/hqcheck/hqcheck --root "$ROOT" \
         --manifest tools/hqcheck/lock_ranks.txt src tools bench \
         | tee build-lint/hqcheck_report.txt
+      ./build-lint/tools/hqcheck/hqcheck --root "$ROOT" tests
       # Whole-program passes (v3): the interprocedural may-acquire proof and
       # the untrusted-input taint proof over every wire decoder. Reports are
       # archived next to hqcheck_report.txt; unused trusted-frontier entries
@@ -102,7 +104,7 @@ for stage in "${STAGES[@]}"; do
         mapfile -t TIDY_SOURCES < <(find src -name '*.cc' | sort)
         clang-tidy -p build --quiet "${TIDY_SOURCES[@]}"
       else
-        echo "=== clang-tidy: not installed, skipping (hqlint/hqcheck still gate) ==="
+        echo "=== clang-tidy: not installed, skipping (hqcheck still gates) ==="
       fi
       ;;
     thread-safety)

@@ -36,7 +36,9 @@ class [[nodiscard]] Result {
   Result& operator=(Result&&) noexcept = default;
 
   bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// Moves the Status (and its message) out of an expiring Result.
+  Status status() && { return std::move(status_); }
 
   /// The contained value; undefined behaviour if !ok().
   const T& ValueOrDie() const& {

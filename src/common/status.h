@@ -120,11 +120,12 @@ class [[nodiscard]] Status {
 #define HQ_CONCAT(a, b) HQ_CONCAT_IMPL(a, b)
 
 /// Evaluates an expression returning Result<T>; on error propagates the
-/// Status, otherwise assigns the value to `lhs` (which may be a declaration).
+/// Status (moved out, not copied), otherwise assigns the value to `lhs`
+/// (which may be a declaration).
 #define HQ_ASSIGN_OR_RETURN(lhs, expr)                               \
   HQ_ASSIGN_OR_RETURN_IMPL(HQ_CONCAT(_hq_result_, __LINE__), lhs, expr)
 
 #define HQ_ASSIGN_OR_RETURN_IMPL(tmp, lhs, expr) \
   auto tmp = (expr);                             \
-  if (!tmp.ok()) return tmp.status();            \
+  if (!tmp.ok()) return std::move(tmp).status(); \
   lhs = std::move(tmp).ValueOrDie();

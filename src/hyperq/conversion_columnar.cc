@@ -1,4 +1,4 @@
-// hqlint:hotpath
+// hqcheck:hotpath
 #include "hyperq/conversion_columnar.h"
 
 #include "cdw/staging_binary.h"

@@ -1,4 +1,4 @@
-// hqlint:hotpath
+// hqcheck:hotpath
 #include "hyperq/conversion_plan.h"
 
 #include <algorithm>
@@ -431,12 +431,12 @@ __attribute__((noinline)) void AddArityMismatch(uint64_t row_number, size_t nfie
                                                 std::vector<RecordError>* errors) {
   errors->push_back(
       RecordError{row_number, legacy::kErrFieldCountMismatch, "",
-                  "vartext record has " + std::to_string(nfields) +          // hqlint:allow(per-row-alloc)
-                      " fields, layout expects " + std::to_string(expected)});  // hqlint:allow(per-row-alloc)
+                  "vartext record has " + std::to_string(nfields) +          // hqcheck:allow(per-row-alloc)
+                      " fields, layout expects " + std::to_string(expected)});  // hqcheck:allow(per-row-alloc)
 }
 
 __attribute__((noinline)) Status FramingError(const Status& status, uint64_t chunk_seq) {
-  return status.WithContext("chunk " + std::to_string(chunk_seq));  // hqlint:allow(per-row-alloc)
+  return status.WithContext("chunk " + std::to_string(chunk_seq));  // hqcheck:allow(per-row-alloc)
 }
 
 /// What both chunk loops share once a record has been read into the row

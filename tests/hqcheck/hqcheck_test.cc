@@ -48,6 +48,14 @@ std::vector<std::string> CheckSource(const std::string& path, const std::string&
   return FormatAll(analyzer.Run());
 }
 
+std::string CleanSource() { return ReadFileOrDie(TestdataPath("clean.cc")); }
+
+std::string ReplaceOnce(std::string text, const std::string& from, const std::string& to) {
+  size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << "mutation anchor not found: " << from;
+  return text.replace(pos, from.size(), to);
+}
+
 // ---------------------------------------------------------------------------
 // Golden: guarded-field
 // ---------------------------------------------------------------------------
@@ -143,6 +151,132 @@ TEST(HqcheckGoldenTest, ManifestParseRejectsUnknownRank) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden: token-pattern rules. These rules and the CLI contract further down
+// began in the standalone hqlint tool and keep its HqlintGoldenTest /
+// HqlintCliTest suite names, so their results read as one history.
+// ---------------------------------------------------------------------------
+
+TEST(HqlintGoldenTest, NakedMutex) {
+  const std::string msg =
+      ": [naked-mutex] use common::Mutex/MutexLock/CondVar from common/sync.h instead of ";
+  EXPECT_EQ(CheckOne("naked_mutex.cc"), (std::vector<std::string>{
+                                            "naked_mutex.cc:6" + msg + "std::mutex",
+                                            "naked_mutex.cc:9" + msg + "std::lock_guard",
+                                            "naked_mutex.cc:10" + msg + "std::condition_variable",
+                                        }));
+}
+
+TEST(HqlintGoldenTest, NewDelete) {
+  EXPECT_EQ(CheckOne("new_delete.cc"),
+            (std::vector<std::string>{
+                "new_delete.cc:11: [new-delete] raw `new` outside a smart-pointer factory; "
+                "wrap the result in unique_ptr/shared_ptr at the allocation site",
+                "new_delete.cc:15: [new-delete] raw `delete`; ownership must live in "
+                "unique_ptr/shared_ptr",
+            }));
+}
+
+TEST(HqlintGoldenTest, IncludeHygiene) {
+  EXPECT_EQ(CheckOne("bad_header.h"),
+            (std::vector<std::string>{
+                "bad_header.h:2: [include-hygiene] header must open with #pragma once "
+                "before any other code",
+                "bad_header.h:4: [include-hygiene] `using namespace` in a header leaks "
+                "into every includer",
+            }));
+}
+
+TEST(HqlintGoldenTest, BlockingUnderLock) {
+  // Line 23 is the first line of `g_queue\n.Put(7);`: a statement split
+  // across lines reports where it starts.
+  const std::string msg = "` can block while a MutexLock is held in this scope";
+  EXPECT_EQ(CheckOne("blocking_under_lock.cc"),
+            (std::vector<std::string>{
+                "blocking_under_lock.cc:17: [blocking-under-lock] potential deadlock: `Put" + msg,
+                "blocking_under_lock.cc:18: [blocking-under-lock] potential deadlock: `sleep_for" +
+                    msg,
+                "blocking_under_lock.cc:23: [blocking-under-lock] potential deadlock: `Put" + msg,
+                "blocking_under_lock.cc:25: [blocking-under-lock] potential deadlock: `sleep_for" +
+                    msg,
+                "blocking_under_lock.cc:33: [blocking-under-lock] potential deadlock: `WaitFor" +
+                    msg,
+            }));
+}
+
+TEST(HqlintGoldenTest, PerRowAlloc) {
+  EXPECT_EQ(CheckOne("per_row_alloc.cc"),
+            (std::vector<std::string>{
+                "per_row_alloc.cc:5: [per-row-alloc] `std::to_string` allocates per call in a "
+                "hotpath file; format into stack scratch with std::to_chars",
+                "per_row_alloc.cc:6: [per-row-alloc] `std::string` temporary in a hotpath "
+                "file; use std::string_view or stack scratch",
+            }));
+}
+
+TEST(HqlintGoldenTest, PerRowAllocOnlyFiresInMarkedFiles) {
+  // Without the hotpath marker the same code is not the rule's business; the
+  // marker that suppressed line 8 is then stale.
+  const std::string source = ReadFileOrDie(TestdataPath("per_row_alloc.cc"));
+  EXPECT_EQ(CheckSource("cold.cc", ReplaceOnce(source, "// hqcheck:hotpath\n", "\n")),
+            (std::vector<std::string>{
+                "cold.cc:8: [stale-allow] suppression `hqcheck:allow(per-row-alloc)` matches "
+                "no finding on this or the next line; remove the dead marker (or fix the rule "
+                "name)",
+            }));
+}
+
+TEST(HqlintGoldenTest, UnboundedRetry) {
+  const std::string msg =
+      ": [unbounded-retry] hand-rolled retry loop (sleep + I/O call) with no attempt bound; "
+      "use common::RetryPolicy (common/retry.h) for bounded backoff with jitter and stats";
+  EXPECT_EQ(CheckOne("unbounded_retry.cc"), (std::vector<std::string>{
+                                                "unbounded_retry.cc:5" + msg,
+                                                "unbounded_retry.cc:12" + msg,
+                                            }));
+}
+
+TEST(HqlintGoldenTest, StaleAllow) {
+  EXPECT_EQ(CheckOne("stale_allow.cc"),
+            (std::vector<std::string>{
+                "stale_allow.cc:6: [stale-allow] suppression `hqcheck:allow(naked-mutex)` "
+                "matches no finding on this or the next line; remove the dead marker (or fix "
+                "the rule name)",
+                "stale_allow.cc:8: [stale-allow] suppression `hqcheck:allow(nakedmutex)` "
+                "matches no finding on this or the next line; remove the dead marker (or fix "
+                "the rule name)",
+            }));
+}
+
+TEST(HqlintGoldenTest, NestedLockWithoutOrder) {
+  // Nested locks need no `// lock-order:` comment: the ranks alone decide,
+  // and such a comment does not excuse an inversion.
+  const std::string source =
+      "#include \"common/sync.h\"\n"
+      "common::Mutex g_outer{common::LockRank::kServer, \"outer\"};\n"
+      "common::Mutex g_inner{common::LockRank::kQueue, \"inner\"};\n"
+      "void Descending() {\n"
+      "  common::MutexLock outer(&g_outer);\n"
+      "  common::MutexLock inner(&g_inner);\n"
+      "}\n"
+      "void Inverted() {\n"
+      "  common::MutexLock inner(&g_inner);\n"
+      "  // lock-order: kQueue > kServer\n"
+      "  common::MutexLock outer(&g_outer);\n"
+      "}\n";
+  EXPECT_EQ(CheckSource("nested_lock.cc", source),
+            (std::vector<std::string>{
+                "nested_lock.cc:11: [lock-nesting] acquiring `g_outer` (kServer) while "
+                "holding `g_inner` (kQueue) is not strictly descending; the runtime "
+                "validator will abort here — reorder the acquisitions or use MutexLock2 "
+                "for same-rank pairs",
+            }));
+}
+
+TEST(HqlintGoldenTest, CleanFileHasNoDiagnostics) {
+  EXPECT_EQ(CheckOne("token_clean.cc"), std::vector<std::string>{});
+}
+
+// ---------------------------------------------------------------------------
 // Golden: clean input stays silent
 // ---------------------------------------------------------------------------
 
@@ -153,14 +287,6 @@ TEST(HqcheckGoldenTest, CleanFileHasNoFindings) {
 // ---------------------------------------------------------------------------
 // Mutation: seed known defects into the clean input and require a report.
 // ---------------------------------------------------------------------------
-
-std::string CleanSource() { return ReadFileOrDie(TestdataPath("clean.cc")); }
-
-std::string ReplaceOnce(std::string text, const std::string& from, const std::string& to) {
-  size_t pos = text.find(from);
-  EXPECT_NE(pos, std::string::npos) << "mutation anchor not found: " << from;
-  return text.replace(pos, from.size(), to);
-}
 
 TEST(HqcheckMutationTest, RemovedMutexLockIsReported) {
   std::string mutated =
@@ -541,6 +667,51 @@ TEST(HqcheckCliTest, ExitCodesAndUsage) {
   EXPECT_EQ(RunHqcheck({TestdataPath("enum_switch.cc")}, out, err), 1);
   EXPECT_EQ(RunHqcheck({}, out, err), 2);
   EXPECT_EQ(RunHqcheck({"--bogus-flag", TestdataPath("clean.cc")}, out, err), 2);
+}
+
+TEST(HqlintCliTest, CleanFileExitsZero) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("token_clean.cc")}, out, err), 0);
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(err.str(), "");
+}
+
+TEST(HqlintCliTest, ViolationsExitOneAndPrintSummary) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("bad_header.h")}, out, err), 1);
+  EXPECT_NE(out.str().find("[include-hygiene]"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("2 violations in 1 files"), std::string::npos) << out.str();
+}
+
+TEST(HqlintCliTest, NoInputsIsAUsageError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({}, out, err), 2);
+  EXPECT_NE(err.str().find("usage:"), std::string::npos) << err.str();
+}
+
+TEST(HqlintCliTest, MissingPathIsAnIoError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({TestdataPath("does_not_exist.cc")}, out, err), 2);
+  EXPECT_NE(err.str().find("cannot read"), std::string::npos) << err.str();
+}
+
+TEST(HqlintCliTest, UnknownFlagIsAUsageError) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({"--frobnicate", TestdataPath("token_clean.cc")}, out, err), 2);
+  EXPECT_NE(err.str().find("unknown flag --frobnicate"), std::string::npos) << err.str();
+}
+
+TEST(HqlintCliTest, RootRelativizesPaths) {
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(RunHqcheck({"--root", HQCHECK_TESTDATA_DIR, TestdataPath("bad_header.h")}, out, err),
+            1);
+  EXPECT_EQ(out.str().rfind("bad_header.h:2: [include-hygiene]", 0), 0u) << out.str();
 }
 
 TEST(HqcheckCliTest, InterlockModeExitCodes) {

@@ -30,6 +30,14 @@ struct PropertyParams {
   uint64_t max_errors;  // 0 = default
 };
 
+// Names each case after its seed and shape ("seed4_900rows_4sessions"). Test
+// discovery names each case after its printed value, and the default printer
+// would print the struct's raw bytes, padding included, which change from one
+// build to the next.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_" << p.rows << "rows_" << p.sessions << "sessions";
+}
+
 class PipelinePropertyTest : public ::testing::TestWithParam<PropertyParams> {};
 
 TEST_P(PipelinePropertyTest, EveryRowAccountedForExactlyOnce) {

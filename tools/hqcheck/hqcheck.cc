@@ -52,11 +52,14 @@ std::string Format(const Diagnostic& d) {
 // ---------------------------------------------------------------------------
 
 bool LexedFile::Allowed(int line, const std::string& rule) const {
-  auto has = [&](int l) {
-    return l >= 1 && l <= static_cast<int>(allows.size()) &&
-           allows[static_cast<size_t>(l - 1)].count(rule) != 0;
-  };
-  return has(line) || has(line - 1);
+  for (int l : {line, line - 1}) {
+    if (l >= 1 && l <= static_cast<int>(allows.size()) &&
+        allows[static_cast<size_t>(l - 1)].count(rule) != 0) {
+      used[static_cast<size_t>(l - 1)].insert(rule);
+      return true;
+    }
+  }
+  return false;
 }
 
 const TrustedMarker* LexedFile::Trusted(int line, const std::string& rule) const {
@@ -80,10 +83,11 @@ LexedFile Lex(std::string path, const std::string& content) {
     out.allows.resize(std::max(out.allows.size(), static_cast<size_t>(l)));
     out.allows[static_cast<size_t>(l - 1)].insert(std::move(rule));
   };
-  // Harvests hqcheck:allow(rule) and hqcheck:trusted(rule): justification
-  // markers out of comment text spanning [begin, end); `at_line` is the line
-  // the comment starts on (markers in a multi-line block comment land on
-  // their own line).
+  // Harvests allow and trusted(rule): justification markers out of comment
+  // text spanning [begin, end); `at_line` is the line the comment starts on
+  // (markers in a multi-line block comment land on their own line). An allow
+  // marker names a rule in lowercase letters, digits and '-', so prose such
+  // as `hqcheck:allow(<rule>)` is not a marker.
   auto harvest = [&](size_t begin, size_t end, int at_line) {
     int l = at_line;
     for (size_t p = begin; p < end;) {
@@ -97,7 +101,12 @@ LexedFile Lex(std::string path, const std::string& content) {
       if (content.compare(p, kMarker.size(), kMarker) == 0) {
         size_t open = p + kMarker.size();
         size_t close = content.find(')', open);
-        if (close != std::string::npos && close < end) {
+        if (close != std::string::npos && close < end && close > open &&
+            std::all_of(content.begin() + static_cast<std::ptrdiff_t>(open),
+                        content.begin() + static_cast<std::ptrdiff_t>(close), [](char ch) {
+                          return std::islower(static_cast<unsigned char>(ch)) != 0 ||
+                                 std::isdigit(static_cast<unsigned char>(ch)) != 0 || ch == '-';
+                        })) {
           allow_at(l, content.substr(open, close - open));
         }
         p = open;
@@ -163,6 +172,14 @@ LexedFile Lex(std::string path, const std::string& content) {
       size_t end = content.find('\n', i);
       if (end == std::string::npos) end = n;
       harvest(i, end, line);
+      // A line comment reading exactly `hqcheck:hotpath` opts the file into
+      // per-row-alloc; prose that merely mentions the marker does not.
+      std::string text = content.substr(i + 2, end - i - 2);
+      size_t b = text.find_first_not_of(" \t");
+      if (b != std::string::npos &&
+          text.substr(b, text.find_last_not_of(" \t\r") + 1 - b) == "hqcheck:hotpath") {
+        out.hotpath = true;
+      }
       i = end;
       continue;
     }
@@ -271,6 +288,7 @@ LexedFile Lex(std::string path, const std::string& content) {
   }
   out.line_count = line;
   out.allows.resize(static_cast<size_t>(line));
+  out.used.resize(out.allows.size());
   out.tokens.push_back({TokKind::kEnd, "", line});
   return out;
 }
@@ -813,9 +831,15 @@ struct LiveLock {
   std::string guard;  // last identifier of the mutex expression
   std::string rank;   // resolved rank name, "" when unknown
   int depth = 0;      // brace depth the lock was declared at
-  int line = 0;
-  bool pair = false;  // MutexLock2
+  size_t decl = 0;    // token index of the declaration; a MutexLock2's two share it
 };
+
+/// Member calls that can park the caller (queue/store/credit waits).
+const std::set<std::string>& BlockingMembers() {
+  static const std::set<std::string> names = {"Put", "PutBatch", "Get",    "Push",
+                                              "Pop", "PopNext",  "Acquire"};
+  return names;
+}
 
 struct BodyContext {
   const LexedFile* file = nullptr;
@@ -827,7 +851,8 @@ struct BodyContext {
 };
 
 /// Walks one function body in [open, close] (token indexes of the braces)
-/// and applies the guarded-field, lock-nesting and enum-switch rules.
+/// and applies the guarded-field, lock-nesting, enum-switch and
+/// blocking-under-lock rules.
 void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
   const std::vector<Token>& t = ctx.file->tokens;
   const Declarations& d = *ctx.decls;
@@ -851,6 +876,19 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
   };
   std::vector<SwitchCtx> switches;
   int depth = 0;  // brace depth relative to the body (open counts as 1)
+  size_t stmt = open;  // first token of the current statement
+  size_t blocked_stmt = close;  // last statement reported as blocking
+
+  // Lock declarations live at this point. Locks taken outside an enclosing
+  // lambda do not count: the lambda body runs later, not under them.
+  auto held = [&] {
+    int barrier = lambda_depths.empty() ? 0 : lambda_depths.back();
+    int n = 0;
+    for (size_t k = 0; k < locks.size(); ++k) {
+      if (locks[k].depth >= barrier && (k == 0 || locks[k].decl != locks[k - 1].decl)) ++n;
+    }
+    return n;
+  };
 
   auto close_switch = [&](const SwitchCtx& sw) {
     // Attribute the switch to an enum only when every resolved label agrees.
@@ -883,6 +921,7 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
   for (size_t i = open; i <= close && i < t.size(); ++i) {
     const Token& tok = t[i];
     if (tok.kind == TokKind::kPunct) {
+      if (tok.text == ";" || tok.text == "{" || tok.text == "}") stmt = i + 1;
       if (tok.text == "{") ++depth;
       if (tok.text == "}") {
         --depth;
@@ -954,7 +993,7 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
             }
           }
         }
-        locks.push_back({guard, rank, depth, tok.line, pair});
+        locks.push_back({guard, rank, depth, i});
       }
       i = args_close;
       continue;
@@ -1001,6 +1040,21 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
       }
       i = j;
       continue;
+    }
+
+    // blocking-under-lock. A CondVar wait releases its own lock, so it only
+    // blocks another thread's progress while a second lock is held.
+    bool member = internal::MemberCall(t, i);
+    bool waits = member && (tok.text == "WaitFor" || tok.text == "WaitUntil");
+    bool blocks = waits || internal::IsSleep(tok.text) ||
+                  (member && BlockingMembers().count(tok.text) != 0);
+    if (blocks && stmt != blocked_stmt && held() >= (waits ? 2 : 1)) {
+      blocked_stmt = stmt;
+      if (!ctx.file->Allowed(t[stmt].line, "blocking-under-lock")) {
+        ctx.diags->push_back({ctx.file->path, t[stmt].line, "blocking-under-lock",
+                              "potential deadlock: `" + tok.text +
+                                  "` can block while a MutexLock is held in this scope"});
+      }
     }
 
     if (guarded_fields != nullptr && !ctx.ctor_dtor) {
@@ -1088,11 +1142,11 @@ std::vector<Diagnostic> Analyzer::Run() const {
     lexed.push_back(Lex(f.path, f.content));
     CollectDeclarations(lexed.back(), &decls);
   }
-  for (const LexedFile& f : lexed) {
+  for (size_t i = 0; i < lexed.size(); ++i) {
+    internal::CheckTokenRules(lexed[i], files_[i].content, &diags);
     // sync.h implements the lock primitives themselves; its internals are
-    // the one place the source rules do not apply.
-    if (EndsWith(f.path, "common/sync.h")) continue;
-    AnalyzeFile(f, decls, &diags);
+    // the one place the function-body rules do not apply.
+    if (!EndsWith(lexed[i].path, "common/sync.h")) AnalyzeFile(lexed[i], decls, &diags);
   }
 
   // Lock-rank manifest cross-check.
@@ -1112,7 +1166,7 @@ std::vector<Diagnostic> Analyzer::Run() const {
     }
     std::set<std::string> seen_labels;
     for (const MutexSite& site : decls.mutex_sites) {
-      if (site.rank.empty()) continue;  // unranked: hqlint's rule owns this
+      if (site.rank.empty()) continue;  // unranked does not compile: Mutex has no default ctor
       auto lexed_it = std::find_if(lexed.begin(), lexed.end(), [&](const LexedFile& f) {
         return f.path == site.path;
       });
@@ -1157,6 +1211,9 @@ std::vector<Diagnostic> Analyzer::Run() const {
       }
     }
   }
+
+  // Last, once every rule above has consumed the markers it needed.
+  for (const LexedFile& f : lexed) internal::CheckStaleAllows(f, &diags);
 
   // Note: var_rank_conflicts (same variable name ranked differently in
   // different classes — the conventional member name `mu_` does this by

@@ -7,14 +7,13 @@
 #include <vector>
 
 /// \file hqcheck.h
-/// Second-generation semantic analyzer for the HyperQ tree. Where hqlint
-/// (tools/hqlint) pattern-matches single lines, hqcheck lexes the sources
-/// into tokens, parses declaration scopes, and runs an intraprocedural
-/// dataflow pass per function body, so it can prove contracts hqlint can
-/// only hint at. Self-contained on purpose (no dependency on src/) so the
-/// checker builds even when the tree it is checking does not.
+/// The HyperQ tree's source analyzer. hqcheck lexes the sources into
+/// tokens, parses declaration scopes, and runs an intraprocedural dataflow
+/// pass per function body; every source rule below runs from that one
+/// lexer. Self-contained on purpose (no dependency on src/) so the checker
+/// builds even when the tree it is checking does not.
 ///
-/// Source rules (see DESIGN.md "Static analysis v2"):
+/// Source rules (see DESIGN.md "hqcheck source rules"):
 ///   guarded-field   every read/write of a field declared
 ///                   HQ_GUARDED_BY(mu) happens under a live
 ///                   MutexLock/MutexLock2 on mu or inside a method
@@ -30,13 +29,27 @@
 ///   lock-nesting    a MutexLock acquired while another lock is live must
 ///                   name a mutex of strictly lower rank (resolved through
 ///                   the declared rank of the mutex variable); same-rank
-///                   pairs must use MutexLock2. PR 4's runtime abort,
-///                   moved to lint time.
+///                   pairs must use MutexLock2. The runtime validator's
+///                   abort, moved to lint time.
 ///   enum-switch     a switch whose case labels name enumerators of a
 ///                   repo-declared enum must cover every enumerator of
 ///                   that enum; `default:` does not count as coverage
 ///                   (it swallows the -Wswitch signal that would otherwise
 ///                   flag the next enumerator someone adds).
+///   blocking-under-lock
+///                   Put/PutBatch/Get/Push/Pop/PopNext/Acquire member calls
+///                   and sleep_* calls while a MutexLock is live (reported
+///                   at the statement's first line); CondVar
+///                   WaitFor/WaitUntil only while a second lock is held.
+///   naked-mutex     std::mutex family outside common/sync.h.
+///   new-delete      raw new outside a smart-pointer factory; raw delete.
+///   include-hygiene headers open with #pragma once; no `using namespace`.
+///   per-row-alloc   std::to_string calls and std::string temporaries in
+///                   files carrying a `// hqcheck:hotpath` comment.
+///   unbounded-retry a for/while loop that both sleeps and makes an
+///                   I/O-shaped member call without common::RetryPolicy.
+///   stale-allow     an allow marker for any of the rules above that
+///                   suppressed nothing in this run.
 ///
 /// Whole-program rules (v3; see DESIGN.md "Static analysis v3"):
 ///   may-acquire     interprocedural lock proof: per-function may-acquire
@@ -50,15 +63,16 @@
 ///                   dominates them; indexes/lengths/memcpy-family sinks
 ///                   fed by unchecked taint are findings.
 ///
-/// Any rule is suppressed for a line by `// hqcheck:allow(<rule>)` on the
-/// same line or the line directly above it — except taint, whose only
-/// escape is `// hqcheck:trusted(taint): <justification>`; the justification
-/// is mandatory and unused markers are audited (stale ones fail).
+/// Any rule is suppressed for a line by a `// hqcheck:allow` marker naming
+/// the rule in parentheses, on the same line or the line directly above it
+/// — except taint, whose only escape is
+/// `// hqcheck:trusted(taint): <justification>`; the justification is
+/// mandatory and unused markers are audited (stale ones fail).
 ///
 /// The binary-level rule (hotpath-symbol) lives in symbol_proof.cc: a
 /// reachability proof over `objdump -dr` call relocations asserting that no
 /// lock, throw, or per-value allocation symbol is reachable from the
-/// hqlint:hotpath-marked conversion kernels. See HotpathProofOptions.
+/// conversion kernels. See HotpathProofOptions.
 
 namespace hqcheck {
 
@@ -74,8 +88,8 @@ struct Diagnostic {
   }
 };
 
-/// "path:line: [rule] message" — same shape as hqlint, so editors and the
-/// golden tests treat both tools identically.
+/// "path:line: [rule] message" — the one diagnostic shape; the golden tests
+/// compare against it verbatim.
 std::string Format(const Diagnostic& d);
 
 // ---------------------------------------------------------------------------
@@ -104,16 +118,22 @@ struct LexedFile {
   std::string path;
   std::vector<Token> tokens;                  // kEnd-terminated
   std::vector<std::set<std::string>> allows;  // per line (0-based), from comments
-  std::vector<TrustedMarker> trusted;         // in file order
+  // The allow markers Allowed() consumed, per line, so the stale-allow audit
+  // can flag the ones nothing needed. Bookkeeping, not rule state.
+  mutable std::vector<std::set<std::string>> used;
+  std::vector<TrustedMarker> trusted;  // in file order
+  bool hotpath = false;                // a `// hqcheck:hotpath` comment is present
   int line_count = 0;
 
-  bool Allowed(int line, const std::string& rule) const;  // line is 1-based
+  /// True when a marker for `rule` sits on `line` (1-based) or the line
+  /// above; records the marker as used.
+  bool Allowed(int line, const std::string& rule) const;
   /// Marker for `rule` on `line` or the line above, or nullptr.
   const TrustedMarker* Trusted(int line, const std::string& rule) const;
 };
 
-/// Lexes C++ source: comments are consumed (harvesting hqcheck:allow
-/// markers), string/char literals become single tokens, multi-char
+/// Lexes C++ source: comments are consumed (harvesting allow, trusted and
+/// hotpath markers), string/char literals become single tokens, multi-char
 /// punctuators (`::`, `->`, `>>` is split — template brackets matter more
 /// than shifts here) are preserved.
 LexedFile Lex(std::string path, const std::string& content);

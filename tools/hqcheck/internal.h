@@ -10,12 +10,12 @@
 #include "hqcheck.h"
 
 /// \file internal.h
-/// Shared plumbing between hqcheck's analysis passes. The v2 rules
-/// (hqcheck.cc), the interprocedural lock pass (interlock.cc) and the taint
-/// pass (taint.cc) all walk the same lexed token streams and share the same
-/// declaration model; this header is the seam between them. Nothing here is
-/// part of the tool's public contract (that is hqcheck.h) — tests may reach
-/// in, production code must not.
+/// Shared plumbing between hqcheck's analysis passes. The source rules
+/// (hqcheck.cc, token_rules.cc), the interprocedural lock pass
+/// (interlock.cc) and the taint pass (taint.cc) all walk the same lexed
+/// token streams and share the same declaration model; this header is the
+/// seam between them. Nothing here is part of the tool's public contract
+/// (that is hqcheck.h) — tests may reach in, production code must not.
 
 namespace hqcheck::internal {
 
@@ -109,6 +109,27 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 using BodyCallback = std::function<void(const std::string& cls, const std::string& method,
                                         bool ctor_dtor, size_t open, size_t close)>;
 void ForEachFunctionBody(const LexedFile& f, const BodyCallback& fn);
+
+// ---------------------------------------------------------------------------
+// Token-pattern rules (defined in token_rules.cc)
+// ---------------------------------------------------------------------------
+
+/// True when t[i] is the name of a member call: `recv.Name(` / `recv->Name(`.
+bool MemberCall(const std::vector<Token>& t, size_t i);
+
+/// sleep_for / sleep_until / usleep / nanosleep.
+bool IsSleep(const std::string& name);
+
+/// naked-mutex, new-delete, include-hygiene, per-row-alloc and
+/// unbounded-retry over one file. `content` is the raw text: Lex drops
+/// preprocessor lines, and include-hygiene needs the `#pragma once`.
+void CheckTokenRules(const LexedFile& f, const std::string& content,
+                     std::vector<Diagnostic>* diags);
+
+/// stale-allow: every allow marker no rule consumed. Run after all source
+/// rules. may-acquire markers are left to the interlock pass and taint
+/// markers to the taint pass, which audit their own.
+void CheckStaleAllows(const LexedFile& f, std::vector<Diagnostic>* diags);
 
 // ---------------------------------------------------------------------------
 // Binary call graph (objdump -dr relocation edges; defined in symbol_proof.cc)
