@@ -12,6 +12,7 @@
 #   ci/check.sh ubsan        # UBSan with -fno-sanitize-recover=all
 #   ci/check.sh bench-smoke  # just the conversion-plan perf gate
 #   ci/check.sh chaos-smoke  # chaos differential + fault-layer cost gate
+#   ci/check.sh e2e-smoke    # every e2ebench workload at tiny size, output-checked
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -20,7 +21,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint thread-safety clang-tidy default asan tsan ubsan bench-smoke chaos-smoke)
+  STAGES=(lint thread-safety clang-tidy default asan tsan ubsan bench-smoke chaos-smoke e2e-smoke)
 fi
 
 # The observability e2e suite dumps the observed lock-order graph here; the
@@ -167,8 +168,26 @@ for stage in "${STAGES[@]}"; do
       cmake --build --preset tsan -j "$JOBS" --target hyperq_e2e_test
       ctest --preset tsan -R '^ChaosE2eTest' --output-on-failure
       ;;
+    e2e-smoke)
+      # End-to-end gate: each e2ebench workload at tiny size (a few seconds
+      # each; run.py builds into .bench_build/). The run's last stdout line
+      # is its JSON result; it must report the output check green and no
+      # failed operation.
+      echo "=== e2e-smoke: e2ebench tiny runs ==="
+      for workload in batch_load batch_dirty stream_upsert; do
+        result="$(python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 1 \
+          --trace 0 --size tiny | tail -n 1)"
+        echo "$workload: $result"
+        python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(sys.argv[1] + ": want \"correct\": true and \"failed\": 0")
+' "$workload" "$result"
+      done
+      ;;
     *)
-      echo "unknown stage: $stage (expected lint|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke)" >&2
+      echo "unknown stage: $stage (expected lint|thread-safety|clang-tidy|default|asan|tsan|ubsan|bench-smoke|chaos-smoke|e2e-smoke)" >&2
       exit 2
       ;;
   esac

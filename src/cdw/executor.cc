@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
+#include "cdw/join_plan.h"
 #include "common/string_util.h"
 #include "sql/parser.h"
 
@@ -142,6 +144,18 @@ Status CheckUniqueness(const Table& table, const std::vector<Row>& staged_rows,
     }
   }
   return Status::OK();
+}
+
+constexpr int64_t kNoMatch = -1;
+constexpr int64_t kManyMatches = -2;
+
+/// Runs `predicate` through the hash equi-join when it plans and runs;
+/// false sends the caller to its nested loop.
+bool HashJoin(const sql::Expr* predicate, const JoinSide& target, const JoinSide& source,
+              size_t target_rows, const std::vector<uint8_t>* source_active,
+              uint64_t* pairs_examined, const std::function<void(size_t, size_t)>& on_match) {
+  std::optional<EquiJoin> plan = EquiJoin::Plan(predicate, target, source);
+  return plan && plan->Run(target_rows, source_active, on_match, pairs_examined);
 }
 
 }  // namespace
@@ -615,44 +629,70 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
     assign_cols.push_back(idx);
   }
 
+  ExecResult result;
+  // Hash plan: the lowest-index matching source row of each target row.
+  std::vector<int64_t> first_source(from_table ? table->num_rows() : 0, kNoMatch);
+  const bool hashed =
+      from_table != nullptr &&
+      HashJoin(stmt.where.get(), {target_alias, table.get()}, {from_alias, from_table.get()},
+               table->num_rows(), nullptr, &result.join_pairs_examined,
+               [&](size_t t, size_t s) {
+                 int64_t& first = first_source[t];
+                 if (first == kNoMatch || static_cast<int64_t>(s) < first) {
+                   first = static_cast<int64_t>(s);
+                 }
+               });
+
+  // The matched target row rewritten by the assignments, evaluated in `ctx`.
+  auto assign = [&](const Row& target_row, const EvalContext& ctx) -> Result<Row> {
+    Row new_row = target_row;
+    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+      HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.assignments[i].value, ctx));
+      const types::Field& field = table->schema().field(assign_cols[i]);
+      HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
+      if (coerced.is_null() && !field.nullable) {
+        return Status::ConversionError("NULL value in NOT NULL column " + field.name);
+      }
+      new_row[assign_cols[i]] = std::move(coerced);
+    }
+    return new_row;
+  };
+
   // Stage: row index -> new full row.
   std::vector<std::pair<size_t, Row>> staged;
   std::vector<size_t> touched_rows;
   for (size_t r = 0; r < table->num_rows(); ++r) {
+    if (hashed && first_source[r] == kNoMatch) continue;
     Row target_row = table->GetRow(r);
-    bool matched = false;
-    Row new_row;
-    auto try_source = [&](const Row* source_row) -> Status {
+    std::optional<Row> new_row;
+    if (hashed) {
+      Row source_row = from_table->GetRow(static_cast<size_t>(first_source[r]));
       EvalContext ctx;
       ctx.AddBinding(target_alias, &table->schema(), &target_row);
-      if (source_row != nullptr) {
-        ctx.AddBinding(from_alias, &from_table->schema(), source_row);
-      }
-      HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
-      if (!ok) return Status::OK();
-      matched = true;
-      new_row = target_row;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        HQ_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*stmt.assignments[i].value, ctx));
-        const types::Field& field = table->schema().field(assign_cols[i]);
-        HQ_ASSIGN_OR_RETURN(Value coerced, types::CastValue(v, field.type));
-        if (coerced.is_null() && !field.nullable) {
-          return Status::ConversionError("NULL value in NOT NULL column " + field.name);
-        }
-        new_row[assign_cols[i]] = std::move(coerced);
-      }
-      return Status::OK();
-    };
-    if (from_table) {
-      for (size_t s = 0; s < from_table->num_rows() && !matched; ++s) {
+      ctx.AddBinding(from_alias, &from_table->schema(), &source_row);
+      HQ_ASSIGN_OR_RETURN(new_row, assign(target_row, ctx));
+    } else if (from_table) {
+      for (size_t s = 0; s < from_table->num_rows() && !new_row; ++s) {
         Row source_row = from_table->GetRow(s);
-        HQ_RETURN_NOT_OK(try_source(&source_row));
+        EvalContext ctx;
+        ctx.AddBinding(target_alias, &table->schema(), &target_row);
+        ctx.AddBinding(from_alias, &from_table->schema(), &source_row);
+        ++result.join_pairs_examined;
+        HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
+        if (ok) {
+          HQ_ASSIGN_OR_RETURN(new_row, assign(target_row, ctx));
+        }
       }
     } else {
-      HQ_RETURN_NOT_OK(try_source(nullptr));
+      EvalContext ctx;
+      ctx.AddBinding(target_alias, &table->schema(), &target_row);
+      HQ_ASSIGN_OR_RETURN(bool ok, PredicateTrue(stmt.where.get(), ctx));
+      if (ok) {
+        HQ_ASSIGN_OR_RETURN(new_row, assign(target_row, ctx));
+      }
     }
-    if (matched) {
-      staged.emplace_back(r, std::move(new_row));
+    if (new_row) {
+      staged.emplace_back(r, std::move(*new_row));
       touched_rows.push_back(r);
     }
   }
@@ -667,7 +707,6 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt,
   for (auto& [r, row] : staged) {
     HQ_RETURN_NOT_OK(table->ReplaceRow(r, std::move(row)));
   }
-  ExecResult result;
   result.rows_updated = staged.size();
   return result;
 }
@@ -685,19 +724,31 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
     using_alias = stmt.using_table.alias.empty() ? stmt.using_table.name : stmt.using_table.alias;
   }
 
+  ExecResult result;
+  std::vector<uint8_t> matched_by_hash(using_table ? table->num_rows() : 0, 0);
+  const bool hashed =
+      using_table != nullptr &&
+      HashJoin(stmt.where.get(), {target_alias, table.get()}, {using_alias, using_table.get()},
+               table->num_rows(), nullptr, &result.join_pairs_examined,
+               [&](size_t t, size_t) { matched_by_hash[t] = 1; });
+
   std::vector<size_t> doomed;
   for (size_t r = 0; r < table->num_rows(); ++r) {
-    Row target_row = table->GetRow(r);
     bool matched = false;
-    if (using_table) {
+    if (hashed) {
+      matched = matched_by_hash[r] != 0;
+    } else if (using_table) {
+      Row target_row = table->GetRow(r);
       for (size_t s = 0; s < using_table->num_rows() && !matched; ++s) {
         Row source_row = using_table->GetRow(s);
         EvalContext ctx;
         ctx.AddBinding(target_alias, &table->schema(), &target_row);
         ctx.AddBinding(using_alias, &using_table->schema(), &source_row);
+        ++result.join_pairs_examined;
         HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
       }
     } else {
+      Row target_row = table->GetRow(r);
       EvalContext ctx;
       ctx.AddBinding(target_alias, &table->schema(), &target_row);
       HQ_ASSIGN_OR_RETURN(matched, PredicateTrue(stmt.where.get(), ctx));
@@ -705,7 +756,6 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
     if (matched) doomed.push_back(r);
   }
   HQ_RETURN_NOT_OK(table->RemoveRows(doomed));
-  ExecResult result;
   result.rows_deleted = doomed.size();
   return result;
 }
@@ -731,26 +781,63 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
   std::vector<size_t> touched_rows;
   std::vector<Row> staged_inserts;
 
-  for (size_t s = 0; s < source->num_rows(); ++s) {
-    Row source_row = source->GetRow(s);
-    if (stmt.source_filter) {
+  ExecResult result;
+  // Hash plan: each source row's filter outcome and matching target row,
+  // decided up front. A source filter that errors anywhere sends every row
+  // through the nested loop, which raises it at its place in source order.
+  std::vector<uint8_t> active;
+  std::vector<int64_t> match;
+  bool hashed = false;
+  if (std::optional<EquiJoin> plan = EquiJoin::Plan(stmt.on.get(), {target_alias, target.get()},
+                                                    {source_alias, source.get()})) {
+    hashed = true;
+    active.assign(source->num_rows(), 1);
+    for (size_t s = 0; s < source->num_rows() && hashed && stmt.source_filter; ++s) {
+      Row source_row = source->GetRow(s);
       EvalContext filter_ctx;
       filter_ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), filter_ctx));
-      if (!pass) continue;
+      Result<bool> pass = PredicateTrue(stmt.source_filter.get(), filter_ctx);
+      hashed = pass.ok();
+      active[s] = hashed && *pass ? 1 : 0;
     }
+    match.assign(source->num_rows(), kNoMatch);
+    hashed = hashed && plan->Run(target_rows_before, &active,
+                                 [&](size_t t, size_t s) {
+                                   match[s] = match[s] == kNoMatch ? static_cast<int64_t>(t)
+                                                                   : kManyMatches;
+                                 },
+                                 &result.join_pairs_examined);
+  }
+
+  for (size_t s = 0; s < source->num_rows(); ++s) {
+    if (hashed && active[s] == 0) continue;
+    Row source_row = source->GetRow(s);
     int matched_target = -1;
-    for (size_t t = 0; t < target_rows_before; ++t) {
-      Row target_row = target->GetRow(t);
-      EvalContext ctx;
-      ctx.AddBinding(target_alias, &target->schema(), &target_row);
-      ctx.AddBinding(source_alias, &source->schema(), &source_row);
-      HQ_ASSIGN_OR_RETURN(bool on, PredicateTrue(stmt.on.get(), ctx));
-      if (on) {
-        if (matched_target >= 0) {
-          return Status::Invalid("MERGE source row matches multiple target rows");
+    if (hashed) {
+      if (match[s] == kManyMatches) {
+        return Status::Invalid("MERGE source row matches multiple target rows");
+      }
+      matched_target = static_cast<int>(match[s]);
+    } else {
+      if (stmt.source_filter) {
+        EvalContext filter_ctx;
+        filter_ctx.AddBinding(source_alias, &source->schema(), &source_row);
+        HQ_ASSIGN_OR_RETURN(bool pass, PredicateTrue(stmt.source_filter.get(), filter_ctx));
+        if (!pass) continue;
+      }
+      for (size_t t = 0; t < target_rows_before; ++t) {
+        Row target_row = target->GetRow(t);
+        EvalContext ctx;
+        ctx.AddBinding(target_alias, &target->schema(), &target_row);
+        ctx.AddBinding(source_alias, &source->schema(), &source_row);
+        ++result.join_pairs_examined;
+        HQ_ASSIGN_OR_RETURN(bool on, PredicateTrue(stmt.on.get(), ctx));
+        if (on) {
+          if (matched_target >= 0) {
+            return Status::Invalid("MERGE source row matches multiple target rows");
+          }
+          matched_target = static_cast<int>(t);
         }
-        matched_target = static_cast<int>(t);
       }
     }
     if (matched_target >= 0) {
@@ -802,7 +889,6 @@ Result<ExecResult> Executor::ExecuteMerge(const sql::MergeStmt& stmt, const Exec
   size_t inserted = staged_inserts.size();
   HQ_RETURN_NOT_OK(target->AppendRows(std::move(staged_inserts)));
 
-  ExecResult result;
   result.rows_updated = staged_updates.size();
   result.rows_inserted = inserted;
   return result;

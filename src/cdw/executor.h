@@ -23,6 +23,10 @@ struct ExecResult {
   uint64_t rows_inserted = 0;
   uint64_t rows_updated = 0;
   uint64_t rows_deleted = 0;
+  /// MERGE, UPDATE ... FROM and DELETE ... USING: (target, source) pairs on
+  /// which the join predicate was evaluated (nested loop) or whose keys were
+  /// compared (hash equi-join, join_plan.h).
+  uint64_t join_pairs_examined = 0;
   types::Schema schema;          ///< non-empty for SELECT
   std::vector<types::Row> rows;  ///< SELECT result rows
 

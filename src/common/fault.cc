@@ -82,7 +82,7 @@ const std::array<std::string_view, FaultInjector::kNumPoints>& FaultInjector::Po
   static const std::array<std::string_view, kNumPoints> kPoints = {
       "objstore.put", "objstore.get", "cdw.copy",      "cdw.exec",
       "net.read",     "net.write",    "bulkload.file", "tdf.read",
-      "export.send",
+      "export.send",  "hyperq.convert",
   };
   return kPoints;
 }

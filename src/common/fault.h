@@ -37,7 +37,7 @@
 ///            | point '=' kind (',' param)*
 ///   point   := objstore.put | objstore.get | cdw.copy | cdw.exec
 ///            | net.read | net.write | bulkload.file | tdf.read
-///            | export.send
+///            | export.send | hyperq.convert
 ///   kind    := error | latency | torn | drop
 ///   param   := 'p=' float      (probability per call, default 1.0)
 ///            | 'n=' uint       (fire on every Nth call)
@@ -102,7 +102,7 @@ Status ParseFaultSpec(std::string_view spec, uint64_t* seed,
 class FaultInjector {
  public:
   /// The fixed registry of known fault points.
-  static constexpr int kNumPoints = 9;
+  static constexpr int kNumPoints = 10;
   static const std::array<std::string_view, kNumPoints>& Points();
   /// Index into Points(), or -1 for an unknown name.
   static int PointIndex(std::string_view point);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "common/fault.h"
 #include "sql/parser.h"
 
 namespace hyperq::core {
@@ -54,7 +55,15 @@ ImportJob::ImportJob(LoadTail tail, DataConverter converter)
 }
 
 ImportJob::~ImportJob() {
+  // A job abandoned mid-load (no EndLoad) can still have conversion tasks
+  // queued or running on the node's converter pool, and each holds `this`.
+  // Closing the queue first makes their Push fail fast, so the wait below
+  // cannot block on writers that have already exited.
   ordered_chunks_.Close();
+  {
+    common::MutexLock lock(&mu_);
+    while (outstanding_conversions_ != 0) conversions_done_.Wait(lock);
+  }
   for (auto& t : writer_threads_) {
     if (t.joinable()) t.join();
   }
@@ -151,6 +160,8 @@ Status ImportJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   }
 
   bool submitted = ctx.converter_pool->Submit([this, state, order, first_row] {
+    // Latency-only point: lets tests hold a conversion in flight.
+    (void)common::FaultInjector::Global().Check("hyperq.convert");
     ConversionInput input;
     input.order_index = order;
     input.first_row_number = first_row;

@@ -1,5 +1,6 @@
 #include "hyperq/server.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/fault.h"
@@ -142,6 +143,12 @@ void HyperQServer::Stop() {
   for (auto& t : sessions) {
     if (t.joinable()) t.join();
   }
+  {
+    // Every joined session recorded its end; a thread of a later Start()
+    // may reuse one of those ids.
+    common::MutexLock lock(&sessions_mu_);
+    ended_sessions_.clear();
+  }
   started_ = false;
 }
 
@@ -151,10 +158,32 @@ void HyperQServer::AcceptLoop() {
   for (;;) {
     auto transport = listener_.Accept();
     if (!transport.has_value()) return;
-    common::MutexLock lock(&sessions_mu_);
-    session_transports_.push_back(*transport);
-    session_threads_.emplace_back(
-        [this, t = std::move(*transport)]() mutable { HandleSession(std::move(t)); });
+    auto serve = [this, t = *transport]() mutable {
+      HandleSession(std::move(t));
+      common::MutexLock lock(&sessions_mu_);
+      ended_sessions_.push_back(std::this_thread::get_id());
+    };
+    // Sessions that have ended are joined here: an exited thread keeps its
+    // stack until joined, so a node serving one short session after another
+    // would otherwise grow by a stack per session until Stop().
+    std::vector<std::thread> ended;
+    {
+      common::MutexLock lock(&sessions_mu_);
+      for (auto it = session_threads_.begin(); it != session_threads_.end();) {
+        if (std::find(ended_sessions_.begin(), ended_sessions_.end(), it->get_id()) ==
+            ended_sessions_.end()) {
+          ++it;
+          continue;
+        }
+        ended.push_back(std::move(*it));
+        it = session_threads_.erase(it);
+      }
+      ended_sessions_.clear();
+      std::erase_if(session_transports_, [](const auto& weak) { return weak.expired(); });
+      session_transports_.push_back(*transport);
+      session_threads_.emplace_back(std::move(serve));
+    }
+    for (auto& t : ended) t.join();
   }
 }
 
@@ -199,10 +228,23 @@ Result<std::shared_ptr<stream::StreamJob>> HyperQServer::GetOrCreateStreamJob(
   common::MutexLock lock(&jobs_mu_);
   auto it = stream_jobs_.find(begin.job_id);
   if (it != stream_jobs_.end()) return it->second;
+  if (ended_streams_.count(begin.job_id) != 0) {
+    return Status::Invalid("stream " + begin.job_id + " already ended");
+  }
   HQ_ASSIGN_OR_RETURN(std::shared_ptr<stream::StreamJob> job,
                       stream::StreamJob::Create(begin.job_id, begin, MakeJobContext()));
   stream_jobs_[begin.job_id] = job;
   return job;
+}
+
+void HyperQServer::RetireStreamJob(stream::StreamJob* job) {
+  EndedStream ended;
+  ended.stats = job->stats();
+  ended.quality = job->quality_report();
+  ended.quarantine_table = job->quarantine_table();
+  common::MutexLock lock(&jobs_mu_);
+  stream_jobs_.erase(job->job_id());
+  ended_streams_[job->job_id()] = std::move(ended);
 }
 
 void HyperQServer::HandleSession(std::shared_ptr<net::Transport> transport) {
@@ -573,6 +615,7 @@ void HyperQServer::HandleSession(std::shared_ptr<net::Transport> transport) {
           reply_failure(report.status());
           break;
         }
+        RetireStreamJob(stream_job.get());
         stream_job.reset();
         (void)reply(legacy::MakeMessage(session_id, ++seq, report->Encode()));
         break;
@@ -633,6 +676,9 @@ Result<QualityJobReport> HyperQServer::JobQualityReport(const std::string& job_i
   if (auto it = stream_jobs_.find(job_id); it != stream_jobs_.end()) {
     return it->second->quality_report();
   }
+  if (auto it = ended_streams_.find(job_id); it != ended_streams_.end()) {
+    return it->second.quality;
+  }
   return Status::NotFound("job not found: " + job_id);
 }
 
@@ -644,14 +690,17 @@ Result<std::string> HyperQServer::JobQuarantineTable(const std::string& job_id) 
   if (auto it = stream_jobs_.find(job_id); it != stream_jobs_.end()) {
     return it->second->quarantine_table();
   }
+  if (auto it = ended_streams_.find(job_id); it != ended_streams_.end()) {
+    return it->second.quarantine_table;
+  }
   return Status::NotFound("job not found: " + job_id);
 }
 
 Result<stream::StreamStats> HyperQServer::StreamJobStats(const std::string& job_id) const {
   common::MutexLock lock(&jobs_mu_);
-  auto it = stream_jobs_.find(job_id);
-  if (it == stream_jobs_.end()) return Status::NotFound("stream job not found: " + job_id);
-  return it->second->stats();
+  if (auto it = stream_jobs_.find(job_id); it != stream_jobs_.end()) return it->second->stats();
+  if (auto it = ended_streams_.find(job_id); it != ended_streams_.end()) return it->second.stats;
+  return Status::NotFound("stream job not found: " + job_id);
 }
 
 obs::MetricsSnapshot HyperQServer::MetricsSnapshot() const {

@@ -89,7 +89,8 @@ class HyperQServer {
   /// The job's span tree (import and export jobs alike).
   common::Result<std::shared_ptr<obs::Trace>> JobTrace(const std::string& job_id) const;
 
-  /// Streaming-session instrumentation (jobs are retained after EndStream).
+  /// Streaming-session instrumentation; answered after EndStream from the
+  /// ended stream's record.
   common::Result<stream::StreamStats> StreamJobStats(const std::string& job_id) const
       HQ_EXCLUDES(jobs_mu_);
 
@@ -105,6 +106,18 @@ class HyperQServer {
       const legacy::BeginExportBody& begin) HQ_EXCLUDES(jobs_mu_);
   common::Result<std::shared_ptr<stream::StreamJob>> GetOrCreateStreamJob(
       const legacy::BeginStreamBody& begin) HQ_EXCLUDES(jobs_mu_);
+  /// Replaces a stream that ended successfully with its EndedStream record.
+  void RetireStreamJob(stream::StreamJob* job) HQ_EXCLUDES(jobs_mu_);
+
+  /// What an ended stream leaves on the node: enough to answer the per-job
+  /// accessors without keeping its converter, load tail and commit journal.
+  /// A node serving one short stream after another would otherwise grow by
+  /// every finished stream's journal.
+  struct EndedStream {
+    stream::StreamStats stats;
+    QualityJobReport quality;
+    std::string quarantine_table;
+  };
 
   cdw::CdwServer* cdw_;
   cloud::ObjectStore* store_;
@@ -153,12 +166,16 @@ class HyperQServer {
   /// in a read observe EOF and exit (clients that never log off must not be
   /// able to wedge shutdown).
   std::vector<std::weak_ptr<net::Transport>> session_transports_ HQ_GUARDED_BY(sessions_mu_);
+  /// Session threads that have returned from HandleSession; AcceptLoop
+  /// joins them.
+  std::vector<std::thread::id> ended_sessions_ HQ_GUARDED_BY(sessions_mu_);
   std::atomic<uint32_t> next_session_id_{1};
 
   mutable common::Mutex jobs_mu_{common::LockRank::kServer, "server_jobs"};
   std::map<std::string, std::shared_ptr<ImportJob>> import_jobs_ HQ_GUARDED_BY(jobs_mu_);
   std::map<std::string, std::shared_ptr<ExportJob>> export_jobs_ HQ_GUARDED_BY(jobs_mu_);
   std::map<std::string, std::shared_ptr<stream::StreamJob>> stream_jobs_ HQ_GUARDED_BY(jobs_mu_);
+  std::map<std::string, EndedStream> ended_streams_ HQ_GUARDED_BY(jobs_mu_);
 };
 
 }  // namespace hyperq::core

@@ -90,6 +90,38 @@ TEST(HqcheckGoldenTest, LockNesting) {
             }));
 }
 
+/// Same-named function locals, as in tests/common/sync_test.cc: each
+/// function's `a`/`b` carry their own ranks. Resolved through one repo-wide
+/// map, the later function's kJob `a` made the earlier kQueue -> kJob
+/// inversion read kJob -> kJob and flagged the correctly ordered block.
+TEST(HqcheckGoldenTest, LockNestingResolvesLocalsPerFunction) {
+  const std::string source =
+      "void Cycle() {\n"                                           // 1
+      "  common::Mutex a{common::LockRank::kQueue, \"cycle_a\"};\n"  // 2
+      "  common::Mutex b{common::LockRank::kJob, \"cycle_b\"};\n"    // 3
+      "  {\n"                                                      // 4
+      "    common::MutexLock lock_a(&a);\n"                         // 5
+      "    common::MutexLock lock_b(&b);\n"                         // 6
+      "  }\n"                                                      // 7
+      "  {\n"                                                      // 8
+      "    common::MutexLock lock_b(&b);\n"                         // 9
+      "    common::MutexLock lock_a(&a);\n"                         // 10
+      "  }\n"                                                      // 11
+      "}\n"                                                        // 12
+      "void SameRankPair() {\n"                                    // 13
+      "  common::Mutex a{common::LockRank::kJob, \"a\"};\n"          // 14
+      "  common::Mutex b{common::LockRank::kJob, \"b\"};\n"          // 15
+      "  common::MutexLock lock_a(&a);\n"                           // 16
+      "  common::MutexLock lock_b(&b);  // hqcheck:allow(lock-nesting)\n"  // 17
+      "}\n";
+  EXPECT_EQ(CheckSource("locals.cc", source),
+            (std::vector<std::string>{
+                "locals.cc:6: [lock-nesting] acquiring `b` (kJob) while holding `a` (kQueue) "
+                "is not strictly descending; the runtime validator will abort here — reorder "
+                "the acquisitions or use MutexLock2 for same-rank pairs",
+            }));
+}
+
 // ---------------------------------------------------------------------------
 // Golden: enum-switch
 // ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ constexpr const char* kChaosSpec =
     "cdw.exec=error,once=1;cdw.exec=error,p=0.1;"
     "bulkload.file=error,once=1;bulkload.file=error,p=0.2;"
     "net.read=latency,once=1,us=500;net.read=latency,p=0.1,us=200;"
-    "net.write=latency,once=1,us=500;net.write=latency,p=0.1,us=200;";
+    "net.write=latency,once=1,us=500;net.write=latency,p=0.1,us=200;"
+    "hyperq.convert=latency,once=1,us=500;hyperq.convert=latency,p=0.1,us=200;";
 
 TEST_F(ChaosE2eTest, FaultFreeAndChaosRunsLoadByteIdenticalTables) {
   const std::string data = SampleData(1000);

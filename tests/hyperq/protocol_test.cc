@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "cdw/cdw_server.h"
 #include "cloudstore/object_store.h"
+#include "common/fault.h"
 #include "hyperq/server.h"
 #include "legacy/session.h"
 
@@ -187,6 +191,49 @@ TEST_F(ProtocolTest, ChunkAcksEchoSequenceNumbers) {
     // SendDataChunk verifies the ack echoes the same sequence number.
     ASSERT_TRUE(session->SendDataChunk(chunk).ok()) << seq;
   }
+}
+
+TEST_F(ProtocolTest, AbandonedLoadOutlivesServerDestructionMidConversion) {
+  // hyperq.convert stalls every conversion task, so when the node goes away
+  // the abandoned job (no EndLoad) still has a task in flight that holds it.
+  // Destroying the job must wait that task out instead of freeing the job
+  // under it (AddressSanitizer reports the use-after-free otherwise).
+  common::FaultInjector& faults = common::FaultInjector::Global();
+  faults.ResetForTesting();
+  HyperQOptions options;
+  options.fault_spec = "hyperq.convert=latency,ms=200";
+  StartNode(options);
+  {
+    auto session = Connect();
+    ASSERT_TRUE(session->ExecuteSql("CREATE TABLE T3 (A VARCHAR(5))").ok());
+    ASSERT_TRUE(session->BeginLoad(SingleColumnLoad("proto_abandoned", "T3")).ok());
+    ASSERT_TRUE(session->SendDataChunk(VartextChunk(1, {"x"})).ok());
+    node_.reset();
+  }
+  EXPECT_EQ(faults.injected_count("hyperq.convert"), 1u);
+  faults.ResetForTesting();
+  StartNode(HyperQOptions{});
+}
+
+/// Memory mappings of this process; each exited-but-unjoined thread keeps
+/// its stack (and guard page) mapped.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(ProtocolTest, EndedSessionThreadsAreJoinedWhileTheNodeRuns) {
+  ASSERT_TRUE(Connect()->Logoff().ok());  // warm-up: first-use allocations settle
+  const size_t before = MappingCount();
+  constexpr int kSessions = 64;
+  for (int i = 0; i < kSessions; ++i) {
+    auto session = Connect();
+    ASSERT_TRUE(session->Logoff().ok());
+  }
+  // Unjoined, every ended session would keep two mappings until Stop().
+  EXPECT_LT(MappingCount(), before + kSessions / 2);
 }
 
 TEST_F(ProtocolTest, ResultSetsTravelInLegacyBinaryFormat) {

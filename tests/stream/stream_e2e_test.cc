@@ -368,5 +368,29 @@ TEST_F(StreamE2eTest, ReplayedCommitIsAbsorbedByTheJournal) {
   EXPECT_EQ(stats.batches_committed, 2u);
 }
 
+TEST_F(StreamE2eTest, EndedStreamIsRetiredButStillAnswered) {
+  StartNode();
+  {
+    auto client = MakeStreamClient();
+    ASSERT_TRUE(client.Begin(MakeBegin()).ok());
+    ASSERT_TRUE(client.SendLines({"1|Ada|2012-01-01"}).ok());
+    ASSERT_TRUE(client.Commit(1000).ok());
+    ASSERT_TRUE(client.End().ok());
+    ASSERT_TRUE(client.Logoff().ok());
+  }
+  // The node keeps a record of the ended stream, not the job: the per-job
+  // accessors still answer, and the job id cannot start a second stream.
+  auto stats = node_->StreamJobStats("strm_e2e");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->batches_committed, 1u);
+  EXPECT_TRUE(node_->JobQualityReport("strm_e2e").ok());
+  EXPECT_TRUE(node_->JobQuarantineTable("strm_e2e").ok());
+  auto again = MakeStreamClient();
+  common::Status begun = again.Begin(MakeBegin());
+  EXPECT_FALSE(begun.ok());
+  EXPECT_NE(begun.message().find("already ended"), std::string::npos) << begun.ToString();
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 1u);
+}
+
 }  // namespace
 }  // namespace hyperq::stream

@@ -564,38 +564,18 @@ void CollectDeclarations(const LexedFile& f, Declarations* decls) {
       continue;
     }
 
-    if (tok.text == "Mutex" && t[i + 1].kind == TokKind::kIdent &&
-        ControlKeywords().count(t[i + 1].text) == 0) {
-      // `Mutex name{LockRank::kX, "label"}` / `Mutex name;` — a declaration
-      // only when the token after the name opens an initializer or ends the
-      // declaration (rules out `Mutex* p`, `MutexLock`, casts). Annotations
-      // like HQ_ACQUIRED_AFTER(x) may sit between the name and the
-      // initializer.
-      size_t init = i + 2;
-      while (t[init].kind == TokKind::kIdent && t[init].text.rfind("HQ_", 0) == 0 &&
-             t[init + 1].text == "(") {
-        init = MatchingClose(t, init + 1) + 1;
-      }
-      const std::string& after = t[init].text;
-      if (after != "{" && after != "(" && after != ";") continue;
+    if (tok.text == "Mutex") {
       MutexSite site;
+      size_t end = i;
+      if (!ParseMutexDecl(t, i, &site, &end)) continue;
+      i = end;
       site.scope = current_class();
-      site.var = t[i + 1].text;
       site.path = f.path;
-      site.line = t[i + 1].line;
-      if (after == "{" || after == "(") {
-        size_t close = MatchingClose(t, init);
-        for (size_t k = init + 1; k < close; ++k) {
-          if (t[k].text == "LockRank" && t[k + 1].text == "::" &&
-              t[k + 2].kind == TokKind::kIdent) {
-            site.rank = t[k + 2].text;
-          }
-          if (t[k].kind == TokKind::kString && site.label.empty()) site.label = t[k].text;
-        }
-        i = close;
-      }
       decls->mutex_sites.push_back(site);
-      if (!site.rank.empty()) {
+      // A mutex declared in a function body is that function's alone;
+      // lock-nesting resolves it per body (LocalMutexes), not repo-wide.
+      const bool local = !scopes.empty() && scopes.back().kind == Scope::kBlock;
+      if (!site.rank.empty() && !local) {
         decls->mutex_ranks[site.scope][site.var] = site.rank;
         auto it = decls->var_ranks.find(site.var);
         if (it != decls->var_ranks.end() && it->second != site.rank) {
@@ -607,6 +587,50 @@ void CollectDeclarations(const LexedFile& f, Declarations* decls) {
       continue;
     }
   }
+}
+
+bool ParseMutexDecl(const std::vector<Token>& t, size_t i, MutexSite* site, size_t* end) {
+  // `Mutex name{LockRank::kX, "label"}` / `Mutex name;` — a declaration
+  // only when the token after the name opens an initializer or ends the
+  // declaration (rules out `Mutex* p`, `MutexLock`, casts). Annotations
+  // like HQ_ACQUIRED_AFTER(x) may sit between the name and the
+  // initializer.
+  if (t[i + 1].kind != TokKind::kIdent || ControlKeywords().count(t[i + 1].text) != 0) {
+    return false;
+  }
+  size_t init = i + 2;
+  while (t[init].kind == TokKind::kIdent && t[init].text.rfind("HQ_", 0) == 0 &&
+         t[init + 1].text == "(") {
+    init = MatchingClose(t, init + 1) + 1;
+  }
+  const std::string& after = t[init].text;
+  if (after != "{" && after != "(" && after != ";") return false;
+  site->var = t[i + 1].text;
+  site->line = t[i + 1].line;
+  *end = i;
+  if (after == "{" || after == "(") {
+    size_t close = MatchingClose(t, init);
+    for (size_t k = init + 1; k < close; ++k) {
+      if (t[k].text == "LockRank" && t[k + 1].text == "::" && t[k + 2].kind == TokKind::kIdent) {
+        site->rank = t[k + 2].text;
+      }
+      if (t[k].kind == TokKind::kString && site->label.empty()) site->label = t[k].text;
+    }
+    *end = close;
+  }
+  return true;
+}
+
+std::vector<LocalMutex> LocalMutexes(const std::vector<Token>& t, size_t open, size_t close) {
+  std::vector<LocalMutex> locals;
+  for (size_t i = open; i < close && i < t.size(); ++i) {
+    MutexSite site;
+    size_t end = i;
+    if (t[i].text != "Mutex" || !ParseMutexDecl(t, i, &site, &end)) continue;
+    if (!site.rank.empty()) locals.push_back({i, site.var, site.rank});
+    i = end;
+  }
+  return locals;
 }
 
 void CollectVarTypes(const LexedFile& f, const std::set<std::string>& class_names,
@@ -670,8 +694,11 @@ void CollectVarTypes(const LexedFile& f, const std::set<std::string>& class_name
   }
 }
 
-std::string ResolveRank(const Declarations& d, const std::string& cls,
-                        const std::string& guard) {
+std::string ResolveRank(const Declarations& d, const std::string& cls, const std::string& guard,
+                        const std::vector<LocalMutex>& locals, size_t at) {
+  for (auto it = locals.rbegin(); it != locals.rend(); ++it) {
+    if (it->token < at && it->var == guard) return it->rank;
+  }
   auto cit = d.mutex_ranks.find(cls);
   if (cit != d.mutex_ranks.end()) {
     auto vit = cit->second.find(guard);
@@ -866,6 +893,7 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
     if (mit != rit->second.end()) required = &mit->second;
   }
 
+  const std::vector<internal::LocalMutex> locals = internal::LocalMutexes(t, open, close);
   std::vector<LiveLock> locks;
   std::vector<int> lambda_depths;  // brace depth of each open lambda body
   struct SwitchCtx {
@@ -977,7 +1005,7 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
         }
       }
       for (const auto& [guard, line] : acquired) {
-        std::string rank = ResolveRank(d, ctx.cls, guard);
+        std::string rank = ResolveRank(d, ctx.cls, guard, locals, i);
         if (!locks.empty() && !pair) {
           const LiveLock& outer = locks.back();
           if (!rank.empty() && !outer.rank.empty()) {

@@ -211,6 +211,7 @@ std::vector<Diagnostic> Analyzer::RunInterlock(const InterlockOptions& options,
         int line = 0;
       };
       std::vector<Live> locks;
+      const std::vector<internal::LocalMutex> locals = internal::LocalMutexes(t, open, close);
       struct LambdaCtx {
         int barrier = 0;
         size_t node = 0;
@@ -276,7 +277,8 @@ std::vector<Diagnostic> Analyzer::RunInterlock(const InterlockOptions& options,
             if (k == args_close || (adepth == 0 && x == ",")) {
               std::string guard = LastIdent(t, begin, k);
               if (!guard.empty()) {
-                acquired.push_back({guard, LockRankIndex(ResolveRank(decls, cls, guard))});
+                acquired.push_back(
+                    {guard, LockRankIndex(ResolveRank(decls, cls, guard, locals, i))});
               }
               begin = k + 1;
             }

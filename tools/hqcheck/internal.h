@@ -97,9 +97,28 @@ void CollectDeclarations(const LexedFile& f, Declarations* decls);
 void CollectVarTypes(const LexedFile& f, const std::set<std::string>& class_names,
                      std::map<std::string, std::set<std::string>>* var_types);
 
-/// Declared rank of `guard` as seen from class `cls` ("" when unknown).
-std::string ResolveRank(const Declarations& d, const std::string& cls,
-                        const std::string& guard);
+/// Parses the Mutex declaration whose `Mutex` token is at `i`: fills the
+/// site's var, rank, label and line, sets `*end` to the last token consumed
+/// and returns true; false when `i` starts no declaration.
+bool ParseMutexDecl(const std::vector<Token>& t, size_t i, MutexSite* site, size_t* end);
+
+/// A ranked mutex declared inside one function body.
+struct LocalMutex {
+  size_t token = 0;  ///< index of its `Mutex` token
+  std::string var;
+  std::string rank;
+};
+
+/// The ranked Mutex declarations in the body [open, close], in token order.
+/// CollectDeclarations keeps them out of the repo-wide maps, so two
+/// functions' same-named locals cannot borrow each other's rank.
+std::vector<LocalMutex> LocalMutexes(const std::vector<Token>& t, size_t open, size_t close);
+
+/// Declared rank of `guard` as seen from class `cls` at token `at` ("" when
+/// unknown): the body's last local declaration of `guard` before `at` wins
+/// over the class and repo-wide maps.
+std::string ResolveRank(const Declarations& d, const std::string& cls, const std::string& guard,
+                        const std::vector<LocalMutex>& locals = {}, size_t at = 0);
 
 bool EndsWith(const std::string& s, const std::string& suffix);
 
