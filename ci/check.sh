@@ -11,7 +11,7 @@
 #   ci/check.sh asan tsan    # just those sanitizer presets
 #   ci/check.sh ubsan        # UBSan with -fno-sanitize-recover=all
 #   ci/check.sh bench-smoke  # just the conversion-plan perf gate
-#   ci/check.sh chaos-smoke  # chaos differential + fault-layer cost gate
+#   ci/check.sh chaos-smoke  # chaos differentials + fault-layer cost gate
 #   ci/check.sh e2e-smoke    # every e2ebench workload at tiny size, output-checked
 set -euo pipefail
 
@@ -154,19 +154,22 @@ for stage in "${STAGES[@]}"; do
       ;;
     chaos-smoke)
       # Resilience gate (DESIGN.md "Fault injection & resilient load path"):
-      # the chaos differential must land a byte-identical table under
-      # aggressive injected faults — run under the default preset and again
-      # under tsan, where the retry/breaker/injector interleavings get the
-      # race detector's scrutiny — and the fault/retry layer must stay under
-      # its 1% injection-off cost budget.
-      echo "=== chaos-smoke: chaos differential (default + tsan) + fault-layer cost ==="
+      # the chaos differentials must land byte-identical tables under
+      # aggressive injected faults — the batch import and the drifting
+      # stream, whose dropped COPY acks exercise exactly-once — run under the
+      # default preset and again under tsan, where the retry/breaker/injector
+      # interleavings get the race detector's scrutiny — and the fault/retry
+      # layer must stay under its 1% injection-off cost budget.
+      echo "=== chaos-smoke: chaos differentials (default + tsan) + fault-layer cost ==="
+      chaos='^(ChaosE2eTest\.|StreamE2eTest\.DriftingStreamSurvivesInjectedFaultsByteIdentically$)'
       cmake --preset default
-      cmake --build --preset default -j "$JOBS" --target hyperq_e2e_test bench_fault_overhead
-      ctest --preset default -R '^ChaosE2eTest' --output-on-failure
+      cmake --build --preset default -j "$JOBS" \
+        --target hyperq_e2e_test stream_e2e_test bench_fault_overhead
+      ctest --preset default -R "$chaos" --output-on-failure
       ctest --preset default -R '^bench_fault_smoke$' --output-on-failure
       cmake --preset tsan
-      cmake --build --preset tsan -j "$JOBS" --target hyperq_e2e_test
-      ctest --preset tsan -R '^ChaosE2eTest' --output-on-failure
+      cmake --build --preset tsan -j "$JOBS" --target hyperq_e2e_test stream_e2e_test
+      ctest --preset tsan -R "$chaos" --output-on-failure
       ;;
     e2e-smoke)
       # End-to-end gate: each e2ebench workload at tiny size (a few seconds

@@ -80,13 +80,6 @@ Result<uint64_t> CdwServer::CopyInto(const std::string& table_name, const std::s
     copy_csv_rows_total_->Increment(stats.csv_rows);
     copy_csv_bytes_total_->Increment(stats.csv_bytes);
   }
-  if (copied.ok() && options_.copy_ledger_max_entries > 0) {
-    // Oldest-key-first eviction; see CdwServerOptions::copy_ledger_max_entries
-    // for why key order is commit order for the callers that set a cap.
-    while (ledger.size() > options_.copy_ledger_max_entries) {
-      ledger.erase(ledger.begin());
-    }
-  }
   if (copied.ok() && copy_rows_total_ != nullptr) copy_rows_total_->Increment(*copied);
   if (copied.ok() && fault.fired && fault.kind == common::FaultKind::kDrop) {
     return fault.status;

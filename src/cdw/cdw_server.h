@@ -30,13 +30,6 @@ struct CdwServerOptions {
   /// Optional telemetry registry (cdw_statement_seconds/cdw_copy_seconds
   /// histograms, statement/COPY/row counters). Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Cap on a table's COPY idempotence ledger; 0 = unbounded. When a COPY
-  /// pushes the ledger past the cap, the lexicographically smallest keys are
-  /// evicted first — streaming jobs stage micro-batches under zero-padded
-  /// batch prefixes, so key order IS commit order and eviction is FIFO. The
-  /// cap must exceed the number of objects one COPY can stage, or a retried
-  /// COPY could re-ingest an object whose ledger entry was just evicted.
-  size_t copy_ledger_max_entries = 0;
 };
 
 class CdwServer {
@@ -68,14 +61,15 @@ class CdwServer {
   void ForgetCopies(const std::string& table_name) HQ_EXCLUDES(mu_);
 
   /// Evicts ledger entries for `table_name` whose object key starts with
-  /// `key_prefix`. Streaming sessions call this once a micro-batch's commit
-  /// watermark is durable: the client will never re-send that batch, so its
-  /// ledger entries can go without weakening exactly-once.
+  /// `key_prefix`. The load tail calls this when it retires a batch
+  /// (core::LoadTail::Retire): every batch COPYs from its own prefix and a
+  /// retired batch is never COPYed again, so its entries can go without
+  /// weakening exactly-once. This is what keeps the ledger bounded.
   void ForgetCopiesWithPrefix(const std::string& table_name,
                               const std::string& key_prefix) HQ_EXCLUDES(mu_);
 
   /// Current ledger size for `table_name` (0 when absent). Test hook for the
-  /// eviction policies above.
+  /// forgetting above.
   size_t CopyLedgerSize(const std::string& table_name) const HQ_EXCLUDES(mu_);
 
   uint64_t statements_executed() const HQ_EXCLUDES(mu_);

@@ -67,9 +67,9 @@ struct CopyStats {
 ///
 /// Ledger keys are format-tagged with a SUFFIX — `<object key>#bin` /
 /// `<object key>#csv` — recording the format the object's bytes decoded as.
-/// The suffix keeps prefix-scoped operations (ForgetCopiesWithPrefix,
-/// lexicographic FIFO eviction over zero-padded batch prefixes) working
-/// unchanged while letting retries of mixed-format uploads dedup correctly.
+/// The suffix keeps prefix-scoped forgetting (ForgetCopiesWithPrefix)
+/// working unchanged while letting retries of mixed-format uploads dedup
+/// correctly.
 common::Result<uint64_t> CopyFromStore(Table* table, const cloud::ObjectStore& store,
                                        const std::string& prefix,
                                        const CopyOptions& options = {},

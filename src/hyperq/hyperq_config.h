@@ -47,12 +47,6 @@ struct HyperQOptions {
   /// simulated out-of-memory condition of Figure 10's one-million-credit run.
   uint64_t memory_budget_bytes = 0;
 
-  /// Node-wide BufferPool recycling chunk payload copies and converted CSV
-  /// buffers across converter pool -> sequenced queue -> FileWriter.
-  /// `buffer_pool_max_buffers = 0` disables pooling entirely.
-  size_t buffer_pool_max_buffers = 64;
-  size_t buffer_pool_max_bytes = 64u << 20;
-
   /// Local directory for intermediate staging files.
   std::string local_staging_dir = "/tmp/hyperq_staging";
 
@@ -63,13 +57,6 @@ struct HyperQOptions {
   /// Export chunking.
   size_t export_chunk_rows = 4096;
   size_t export_prefetch_chunks = 8;
-
-  /// Streaming sessions: how many committed micro-batches keep their COPY
-  /// idempotence ledger entries. A client can only replay the most recent
-  /// CommitBatch (the protocol is synchronous), so entries older than the
-  /// last batch exist purely as slack; evicting past this window bounds the
-  /// ledger for arbitrarily long streams without weakening exactly-once.
-  size_t stream_ledger_keep_batches = 2;
 
   /// Emulated uniqueness enforcement (Section 7: "the CDW might not provide
   /// native support for uniqueness constraints. In those cases, Hyper-Q

@@ -283,9 +283,9 @@ Status ImportJob::SealAndShip(uint64_t client_total_chunks, uint64_t client_tota
                                      ? cdw::CopyFormat::kBinary
                                      : cdw::CopyFormat::kCsv;
   Result<ShipResult> shipped = tail_.Ship(batch, /*batch_dir=*/"", format);
-  // Local staging files have served their purpose: a failed import is never
+  // The batch has served its purpose either way: a failed import is never
   // shipped again.
-  tail_.RemoveLocalFiles(batch);
+  tail_.Retire(batch, /*batch_dir=*/"");
   HQ_RETURN_NOT_OK(shipped.status());
   if (m_.files_uploaded != nullptr) {
     m_.files_uploaded->Increment(shipped->files_uploaded);
@@ -374,8 +374,7 @@ Result<legacy::JobReportBody> ImportJob::ApplySealed(const std::string& sql, Sea
   HQ_RETURN_NOT_OK(tail_.RecordErrors(batch));
   HQ_ASSIGN_OR_RETURN(DmlApplyResult dml,
                       tail_.Apply(*legacy_stmt, batch->first_row, batch->last_row));
-  // Staging table is job-scoped scratch state; the CDW's COPY-idempotence
-  // ledger for it goes with it.
+  // Staging table is job-scoped scratch state.
   HQ_RETURN_NOT_OK(tail_.DropStaging());
 
   // Publish the result and application timing under the job lock: sessions

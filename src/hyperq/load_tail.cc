@@ -407,15 +407,17 @@ Result<DmlApplyResult> LoadTail::Apply(const sql::Statement& dml, uint64_t first
   return applier.Apply(first_row, last_row);
 }
 
-void LoadTail::RemoveLocalFiles(const SealedBatch& batch) const {
+void LoadTail::Retire(const SealedBatch& batch, const std::string& batch_dir) const {
   for (const auto& f : batch.files) std::remove(f.path.c_str());
   for (const auto& f : batch.qrtn_files) std::remove(f.path.c_str());
+  ctx_.cdw->ForgetCopiesWithPrefix(staging_table_, remote_prefix_ + batch_dir);
+  if (!qrtn_table_.empty()) {
+    ctx_.cdw->ForgetCopiesWithPrefix(qrtn_table_, qrtn_remote_prefix_ + batch_dir);
+  }
 }
 
 Status LoadTail::DropStaging() const {
-  HQ_RETURN_NOT_OK(ctx_.cdw->catalog()->DropTable(staging_table_, /*if_exists=*/true));
-  ctx_.cdw->ForgetCopies(staging_table_);
-  return Status::OK();
+  return ctx_.cdw->catalog()->DropTable(staging_table_, /*if_exists=*/true);
 }
 
 void LoadTail::NoteViolationRate(double rate) const {

@@ -209,10 +209,16 @@ class LoadTail {
   common::Result<DmlApplyResult> Apply(const sql::Statement& dml, uint64_t first_row,
                                        uint64_t last_row) const;
 
-  /// Removes the batch's local files once they are no longer needed.
-  void RemoveLocalFiles(const SealedBatch& batch) const;
+  /// Retires a batch that will never be shipped again (a committed stream
+  /// batch, rejected ones included, or an import's batch after its one
+  /// Ship): removes its local files and forgets the COPY ledger entries of
+  /// its staging and quarantine prefixes under `batch_dir`. The ledger only
+  /// has to absorb COPY retries until the batch's commit succeeds; a
+  /// replayed commit never re-runs COPY.
+  void Retire(const SealedBatch& batch, const std::string& batch_dir) const;
 
-  /// Drops the staging table and its COPY ledger (job teardown).
+  /// Drops the staging table (job teardown). Its COPY ledger is already
+  /// empty: every shipped batch was retired.
   common::Status DropStaging() const;
 
   /// Publishes a violation rate on the node-wide gauge.
@@ -222,12 +228,9 @@ class LoadTail {
   const LoadTarget& target() const { return target_; }
   const JobContext& ctx() const { return ctx_; }
   const std::string& staging_table() const { return staging_table_; }
-  const std::string& remote_prefix() const { return remote_prefix_; }
-  /// Quarantine table and prefix ("" when the gate is off). The table
-  /// outlives the job on purpose: quarantined rows are the operator's
-  /// diagnostics.
+  /// Quarantine table ("" when the gate is off). It outlives the job on
+  /// purpose: quarantined rows are the operator's diagnostics.
   const std::string& quarantine_table() const { return qrtn_table_; }
-  const std::string& quarantine_prefix() const { return qrtn_remote_prefix_; }
   bool quality_on() const { return table_quality_.has_value(); }
   /// The job's span tree (null when observability is disabled).
   const std::shared_ptr<obs::Trace>& trace() const { return trace_; }

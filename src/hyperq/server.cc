@@ -76,12 +76,6 @@ HyperQServer::HyperQServer(cdw::CdwServer* cdw, cloud::ObjectStore* store, Hyper
       HQ_LOG_WARN() << "ignoring invalid fault_spec: " << armed.ToString();
     }
   }
-  if (options_.buffer_pool_max_buffers != 0) {
-    common::BufferPoolOptions pool_options;
-    pool_options.max_buffers = options_.buffer_pool_max_buffers;
-    pool_options.max_bytes = options_.buffer_pool_max_bytes;
-    buffer_pool_ = std::make_unique<common::BufferPool>(pool_options);
-  }
   if (options_.enable_observability) {
     if (options_.metrics != nullptr) {
       metrics_ = options_.metrics;
@@ -194,7 +188,7 @@ JobContext HyperQServer::MakeJobContext() {
   ctx.credits = &credits_;
   ctx.converter_pool = &converter_pool_;
   ctx.memory = &memory_;
-  ctx.buffers = buffer_pool_.get();
+  ctx.buffers = &buffer_pool_;
   ctx.metrics = metrics_;
   ctx.tracer = tracer_;
   ctx.options = options_;
@@ -710,13 +704,11 @@ obs::MetricsSnapshot HyperQServer::MetricsSnapshot() const {
   m_.converter_queue->Set(static_cast<int64_t>(converter_pool_.queued()));
   m_.converter_active->Set(static_cast<int64_t>(converter_pool_.active()));
   m_.memory_in_flight->Set(static_cast<int64_t>(memory_.used()));
-  if (buffer_pool_ != nullptr) {
-    common::BufferPoolStats pool = buffer_pool_->stats();
-    m_.pool_buffers->Set(static_cast<int64_t>(pool.buffers_pooled));
-    m_.pool_bytes->Set(static_cast<int64_t>(pool.bytes_pooled));
-    m_.pool_hits->Set(static_cast<int64_t>(pool.hits));
-    m_.pool_misses->Set(static_cast<int64_t>(pool.misses));
-  }
+  common::BufferPoolStats pool = buffer_pool_.stats();
+  m_.pool_buffers->Set(static_cast<int64_t>(pool.buffers_pooled));
+  m_.pool_bytes->Set(static_cast<int64_t>(pool.bytes_pooled));
+  m_.pool_hits->Set(static_cast<int64_t>(pool.hits));
+  m_.pool_misses->Set(static_cast<int64_t>(pool.misses));
   common::LockOrderSnapshot locks = common::LockOrderGraph::Global().Snapshot();
   m_.lock_edges->Set(static_cast<int64_t>(locks.edges.size()));
   for (int r = 0; r < common::kNumLockRanks; ++r) {

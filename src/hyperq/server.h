@@ -52,8 +52,8 @@ class HyperQServer {
 
   CreditManager* credit_manager() { return &credits_; }
   common::MemoryTracker* memory_tracker() { return &memory_; }
-  /// Node-wide buffer recycler (null when buffer_pool_max_buffers == 0).
-  common::BufferPool* buffer_pool() { return buffer_pool_.get(); }
+  /// Node-wide buffer recycler (BufferPoolOptions' default bounds).
+  common::BufferPool* buffer_pool() { return &buffer_pool_; }
   const HyperQOptions& options() const { return options_; }
 
   /// The node's metrics registry / tracer (null when observability is off).
@@ -110,9 +110,9 @@ class HyperQServer {
   void RetireStreamJob(stream::StreamJob* job) HQ_EXCLUDES(jobs_mu_);
 
   /// What an ended stream leaves on the node: enough to answer the per-job
-  /// accessors without keeping its converter, load tail and commit journal.
+  /// accessors without keeping its converter, load tail and commit slot.
   /// A node serving one short stream after another would otherwise grow by
-  /// every finished stream's journal.
+  /// every finished stream's job.
   struct EndedStream {
     stream::StreamStats stats;
     QualityJobReport quality;
@@ -150,7 +150,7 @@ class HyperQServer {
   CreditManager credits_;
   common::ThreadPool converter_pool_;
   common::MemoryTracker memory_;
-  std::unique_ptr<common::BufferPool> buffer_pool_;
+  common::BufferPool buffer_pool_;
 
   net::Listener listener_;
   /// Serializes Start()/Stop(): without it two racing Stops (or a Stop racing

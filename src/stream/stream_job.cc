@@ -14,9 +14,8 @@ using common::Status;
 
 namespace {
 
-/// Zero-padded batch staging prefix ("batch_00000001"): lexicographic key
-/// order in the COPY ledger is commit order, which is what makes both
-/// eviction paths FIFO.
+/// Zero-padded batch staging prefix ("batch_00000001"): each batch COPYs
+/// from, and retires, its own "<prefix>/" directory.
 std::string BatchPrefix(uint64_t batch_seq) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "batch_%08llu", static_cast<unsigned long long>(batch_seq));
@@ -83,9 +82,9 @@ Status StreamJob::SubmitChunk(const legacy::DataChunkBody& chunk) {
   BusyToken busy(this);
   // A failed commit keeps its sealed batch for retry; accepting re-sent
   // copies of those rows here would stage them twice.
-  if (sealed_.has_value()) {
+  if (CommitPending()) {
     return Status::ProtocolError(
-        "stream " + job_id() + ": commit of batch " + std::to_string(sealed_->batch_seq) +
+        "stream " + job_id() + ": commit of batch " + std::to_string(commit_->batch_seq) +
         " failed and is pending retry; re-send CommitBatch, not chunks");
   }
   uint64_t order;
@@ -199,20 +198,20 @@ Status StreamJob::ChangeLayout(const types::Schema& layout) {
 Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
                                                           uint64_t watermark_micros) {
   BusyToken busy(this);
+  const bool in_slot = commit_.has_value() && commit_->batch_seq == batch_seq;
   {
     common::MutexLock lock(&mu_);
     if (finished_) return Status::Invalid("stream " + job_id() + " already ended");
     HQ_RETURN_NOT_OK(poison_);
-    // Client replay of a committed batch (lost BatchCommitted reply): the
-    // journal answers; nothing downstream runs again.
-    auto it = committed_batches_.find(batch_seq);
-    if (it != committed_batches_.end()) {
+    // Re-send of the latest committed batch (lost BatchCommitted reply): the
+    // slot's reply answers; nothing downstream runs again.
+    if (in_slot && commit_->reply.has_value()) {
       ++stats_.commit_replays;
       if (m_.commit_replays != nullptr) m_.commit_replays->Increment();
-      return it->second;
+      return *commit_->reply;
     }
     const uint64_t expected = stats_.batches_committed + 1;
-    if (batch_seq != expected) {
+    if (!in_slot && batch_seq != expected) {
       return Status::ProtocolError("commit for batch " + std::to_string(batch_seq) +
                                    ", expected " + std::to_string(expected));
     }
@@ -222,7 +221,11 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
         "micro-batch watermark must advance: " + std::to_string(watermark_micros) +
         " <= " + std::to_string(last_watermark_));
   }
-  if (!sealed_.has_value()) {
+  if (in_slot) {
+    // Retained from a failed attempt: re-run the pipeline on the same rows.
+    common::MutexLock lock(&mu_);
+    ++stats_.commit_retries;
+  } else {
     Status sealed = SealOpenBatch(batch_seq);
     if (!sealed.ok()) {
       // Finalize is not re-runnable; the batch content is forfeit, so fail
@@ -230,20 +233,12 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitBatch(uint64_t batch_seq,
       Poison(sealed);
       return sealed;
     }
-  } else {
-    // Retained from a failed attempt: re-run the pipeline on the same rows.
-    if (sealed_->batch_seq != batch_seq) {
-      return Status::Internal("sealed batch " + std::to_string(sealed_->batch_seq) +
-                              " does not match commit for batch " + std::to_string(batch_seq));
-    }
-    common::MutexLock lock(&mu_);
-    ++stats_.commit_retries;
   }
   return CommitSealed(watermark_micros);
 }
 
 Status StreamJob::SealOpenBatch(uint64_t batch_seq) {
-  PendingCommit pending;
+  Commit pending;
   pending.batch_seq = batch_seq;
   pending.open_time = open_.chunks != 0 ? batch_open_ : std::chrono::steady_clock::now();
   pending.batch = std::move(open_);
@@ -254,7 +249,7 @@ Status StreamJob::SealOpenBatch(uint64_t batch_seq) {
     pending.batch.last_row = row_counter_;
   }
   HQ_RETURN_NOT_OK(tail_.CloseLane(&lane_, &pending.batch));
-  sealed_ = std::move(pending);
+  commit_ = std::move(pending);
   return Status::OK();
 }
 
@@ -273,8 +268,8 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   // per-table ledger, and ET inserts resume at errors_recorded. Open-batch
   // members stay untouched, so a failed attempt can't corrupt the next
   // batch's accounting — and the sealed batch survives for the retry.
-  core::SealedBatch& batch = sealed_->batch;
-  const uint64_t batch_seq = sealed_->batch_seq;
+  core::SealedBatch& batch = commit_->batch;
+  const uint64_t batch_seq = commit_->batch_seq;
   const core::HyperQOptions& options = tail_.ctx().options;
 
   // Per-micro-batch degradation policy: a batch whose violation rate exceeds
@@ -288,7 +283,7 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
                         batch_rate > options.quality.batch_max_violation_rate;
 
   // Ship this batch under its own zero-padded prefix — the scope of its
-  // COPY and the unit of ledger eviction. CopyFormat::kAuto on purpose: a
+  // COPY and of its retirement. CopyFormat::kAuto on purpose: a
   // batch cut across a format fallback holds both .hqb and .csv objects, and
   // auto sniffs per object.
   const std::string batch_dir = BatchPrefix(batch_seq) + "/";
@@ -316,24 +311,22 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
   }
 
   // The batch is durably applied; from here on the commit must succeed.
-  // Retire the sealed batch, advance the committed row high-water mark, and
-  // drop ledger entries that have fallen out of the replay window so
-  // arbitrarily long streams keep a bounded ledger.
-  tail_.RemoveLocalFiles(batch);
+  // Nothing ships it again (a re-send is answered from the slot's reply), so
+  // retire it and advance the committed row high-water mark.
+  tail_.Retire(batch, batch_dir);
   committed_row_high_ = batch.last_row;
-  cdw::CdwServer* cdw = tail_.ctx().cdw;
 
   // Prune the applied rows from the accumulating staging table. Every later
   // batch addresses a strictly higher HQ_ROWNUM range and a replayed commit
-  // is answered from the journal without re-reading staging, so rows at or
+  // is answered from the slot without re-reading staging, so rows at or
   // below the new high-water mark are dead weight — left in place they make
   // each batch's COPY count check and DML range scan cost O(stream) instead
   // of O(batch). Best-effort: a failed prune costs latency, not rows.
   uint64_t pruned = 0;
   if (apply) {
     Result<cdw::ExecResult> del =
-        cdw->ExecuteSql("DELETE FROM " + tail_.staging_table() +
-                        " WHERE HQ_ROWNUM <= " + std::to_string(batch.last_row));
+        tail_.ctx().cdw->ExecuteSql("DELETE FROM " + tail_.staging_table() +
+                                    " WHERE HQ_ROWNUM <= " + std::to_string(batch.last_row));
     if (del.ok()) {
       pruned = del.ValueOrDie().rows_deleted;
     } else {
@@ -342,34 +335,18 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
     }
   }
 
-  uint64_t evicted = 0;
-  if (!rejected) {
-    ledgered_prefixes_.push_back(tail_.remote_prefix() + batch_dir);
-    const size_t keep = std::max<size_t>(1, options.stream_ledger_keep_batches);
-    while (ledgered_prefixes_.size() > keep) {
-      cdw->ForgetCopiesWithPrefix(tail_.staging_table(), ledgered_prefixes_.front());
-      ledgered_prefixes_.pop_front();
-      ++evicted;
-    }
-  }
-  if (batch.qrtn_rows_staged != 0) {
-    // Replays of this commit are answered from the journal without re-running
-    // COPY, so the quarantine ledger entries are dead weight once durable.
-    cdw->ForgetCopiesWithPrefix(tail_.quarantine_table(), tail_.quarantine_prefix() + batch_dir);
-  }
-
   last_watermark_ = watermark_micros;
   const auto now_wall = std::chrono::system_clock::now().time_since_epoch();
   const int64_t wall_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(now_wall).count();
   const int64_t lag_micros = wall_micros - static_cast<int64_t>(watermark_micros);
   const double batch_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sealed_->open_time)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - commit_->open_time)
           .count();
   const uint64_t rows_staged = batch.rows_staged;
   const size_t batch_errors = batch.errors.size();
   const core::QualityTally batch_quality = std::move(batch.quality);
-  sealed_.reset();
+  batch = core::SealedBatch{};  // the slot keeps only the reply
 
   legacy::BatchCommittedBody reply;
   reply.batch_seq = batch_seq;
@@ -386,11 +363,10 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
     dml_totals_.statements_issued += dml.statements_issued;
     data_errors_recorded_ += batch_errors;
     // batches_committed is the commit-protocol sequence number, so a rejected
-    // batch advances it too (the journal is keyed by batch_seq either way).
+    // batch advances it too.
     ++stats_.batches_committed;
     if (rejected) ++stats_.batches_rejected;
     if (!rejected) stats_.rows_committed += rows_staged;
-    stats_.ledger_evictions += evicted;
     stats_.staging_rows_pruned += pruned;
     quality_.Add(batch_quality);
     reply.rows_total =
@@ -402,8 +378,8 @@ Result<legacy::BatchCommittedBody> StreamJob::CommitSealed(uint64_t watermark_mi
                        std::to_string(batch_quality.rows_checked) + " rows quarantined to " +
                        tail_.quarantine_table() + ")"
                  : "batch " + std::to_string(batch_seq) + " committed";
-    committed_batches_[batch_seq] = reply;
   }
+  commit_->reply = reply;
   if (m_.batches_committed != nullptr) {
     if (rejected) {
       m_.batches_rejected->Increment();
@@ -433,7 +409,7 @@ Result<legacy::JobReportBody> StreamJob::Finish(uint64_t total_chunks, uint64_t 
                                    " rows, received " + std::to_string(row_counter_));
     }
   }
-  if (open_.chunks != 0 || lane_.data != nullptr || sealed_.has_value()) {
+  if (open_.chunks != 0 || lane_.data != nullptr || CommitPending()) {
     return Status::ProtocolError(
         "stream ended with an uncommitted micro-batch; send CommitBatch before EndStream");
   }
@@ -465,14 +441,14 @@ StreamStats StreamJob::stats() const {
 
 core::QualityJobReport StreamJob::quality_report() {
   // The busy token serializes with in-flight calls, making the open-batch
-  // and sealed aggregates safe to read here.
+  // and slot aggregates safe to read here.
   BusyToken busy(this);
   const core::CompiledQuality* cq = converter_.quality();
   if (cq == nullptr) return core::QualityJobReport{};
-  // All-time view: committed batches + the sealed batch (if a commit is
+  // All-time view: committed batches + the slot's batch (if its commit is
   // pending retry) + the open batch.
   core::QualityTally all = open_.quality;
-  if (sealed_.has_value()) all.Add(sealed_->batch.quality);
+  if (CommitPending()) all.Add(commit_->batch.quality);
   {
     common::MutexLock lock(&mu_);
     all.Add(quality_);

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,29 +24,26 @@
 ///
 /// What the stream adds on top of the tail: the busy token that serializes
 /// its verbs, schema-drift remapping with the binary -> csv format fallback,
-/// the commit journal, poisoning, per-batch quality rejection, staging-row
-/// pruning and COPY-ledger eviction.
+/// the commit slot, poisoning, per-batch quality rejection and staging-row
+/// pruning.
 ///
-/// Exactly-once, at three levels:
-///   - A *server-side* COPY retry after a lost ack is absorbed by the CDW's
-///     per-table idempotence ledger: the re-issued COPY (scoped to the
-///     batch's own staging prefix) skips already-ingested objects and
-///     returns the cumulative count.
-///   - A *client-side* CommitBatch replay (lost BatchCommitted reply) hits
-///     the committed-batch journal and gets the recorded result back without
-///     re-running any of the commit pipeline.
-///   - A commit that *fails* (retries exhausted) keeps the sealed batch: the
-///     stream's open-batch state is only retired once the whole pipeline has
-///     succeeded, so a retried CommitBatch re-runs the pipeline on exactly
-///     the same rows instead of acking an empty batch. Every stage up to the
-///     DML apply is idempotent across such retries (uploads re-put identical
-///     bytes to the same keys, COPY dedups through the ledger, ET inserts
-///     resume past the rows already recorded); a failure in the DML apply
-///     itself — the one stage whose partial effects cannot be re-run safely —
-///     poisons the stream, making every later call fail loudly.
-/// Batch prefixes are zero-padded, so ledger keys sort in commit order and
-/// both eviction paths (per-batch ForgetCopiesWithPrefix here, the size cap
-/// in CdwServerOptions) retire oldest-first.
+/// Exactly-once, as two rules:
+///   - *A sealed batch carries its own retry state, and the tail retires
+///     it.* Every stage before the DML apply is idempotent across commit
+///     attempts: uploads re-put identical bytes to the same keys, the CDW's
+///     COPY ledger skips objects the batch's own prefix already ingested (a
+///     lost COPY ack), and ET inserts resume past the rows already recorded.
+///     A failure in the DML apply itself, the one stage whose partial
+///     effects cannot be re-run safely, poisons the stream. Once a commit
+///     succeeds (rejected batches included), LoadTail::Retire removes the
+///     batch's local files and forgets its ledger entries: nothing COPYs
+///     that prefix again, so the ledger never outgrows one batch.
+///   - *A stream has one commit slot.* It holds the latest sealed batch.
+///     Until its reply is recorded the batch is pending: chunks and EndStream
+///     are refused, and a re-sent CommitBatch re-runs the pipeline on the
+///     retained rows. After the commit the slot keeps only the reply, which
+///     answers a re-sent CommitBatch (lost BatchCommitted reply) without
+///     re-running anything. Any other batch_seq must be the next one.
 ///
 /// Schema drift: a StreamLayout parcel switches the session's conversion
 /// plan. Name-matched fields are remapped into the original target layout
@@ -70,9 +65,8 @@ struct StreamStats {
   uint64_t layout_changes = 0;
   uint64_t fields_dropped = 0;  ///< source fields with no target match
   uint64_t fields_nulled = 0;   ///< target fields with no source match
-  uint64_t commit_replays = 0;  ///< CommitBatch re-sends answered from the journal
+  uint64_t commit_replays = 0;  ///< CommitBatch re-sends answered from the slot
   uint64_t commit_retries = 0;  ///< pipeline re-runs on a retained sealed batch
-  uint64_t ledger_evictions = 0;
   uint64_t staging_rows_pruned = 0;  ///< applied rows deleted from the staging table
   /// Sessions negotiated down from binary to csv staging because a layout
   /// drift changed a name-matched field's staging type (see
@@ -111,8 +105,8 @@ class StreamJob {
   /// Commits the open micro-batch: seals the staging files, uploads them
   /// under the batch's own prefix, COPYs into the staging table, records
   /// this batch's data errors, and applies the stream DML over exactly the
-  /// batch's HQ_ROWNUM range. Replaying an already-committed `batch_seq`
-  /// returns the journaled result. `watermark_micros` must advance. On
+  /// batch's HQ_ROWNUM range. Re-sending the latest committed `batch_seq`
+  /// returns its recorded reply. `watermark_micros` must advance. On
   /// failure the sealed batch is retained: re-sending the same CommitBatch
   /// re-runs the pipeline on the same rows (exactly-once either way), unless
   /// the failure poisoned the stream (DML apply / staging finalize), in
@@ -121,8 +115,8 @@ class StreamJob {
                                                          uint64_t watermark_micros);
 
   /// Ends the stream after validating client totals; fails if uncommitted
-  /// rows remain. Drops the staging table and its ledger, and reports the
-  /// cumulative result of every committed batch.
+  /// rows remain. Drops the staging table and reports the cumulative result
+  /// of every committed batch.
   common::Result<legacy::JobReportBody> Finish(uint64_t total_chunks, uint64_t total_rows);
 
   const std::string& job_id() const { return tail_.job_id(); }
@@ -152,14 +146,17 @@ class StreamJob {
     StreamJob* job_;
   };
 
-  /// Moves the open batch into sealed_ and finalizes its staging files. On
-  /// failure the caller must poison the stream: the writer's finalize path
-  /// is not re-runnable, so the batch content is forfeit.
+  /// Moves the open batch into the commit slot and finalizes its staging
+  /// files. On failure the caller must poison the stream: the writer's
+  /// finalize path is not re-runnable, so the batch content is forfeit.
   common::Status SealOpenBatch(uint64_t batch_seq);
-  /// The commit pipeline body over *sealed_; runs with the busy token held,
-  /// mu_ free. Retires sealed_ (and advances the committed watermark / row
-  /// high) only after every stage has succeeded.
+  /// The commit pipeline body over the slot's batch; runs with the busy
+  /// token held, mu_ free. Retires the batch and records the slot's reply
+  /// (and advances the committed watermark / row high) only after every
+  /// stage has succeeded.
   common::Result<legacy::BatchCommittedBody> CommitSealed(uint64_t watermark_micros);
+  /// A sealed batch awaits a (re-sent) CommitBatch.
+  bool CommitPending() const { return commit_.has_value() && !commit_->reply.has_value(); }
   /// Marks the stream permanently failed; every later call returns this.
   void Poison(const common::Status& cause);
 
@@ -209,22 +206,18 @@ class StreamJob {
   /// Global row number of the last row belonging to a committed batch.
   uint64_t committed_row_high_ = 0;
 
-  /// A micro-batch sealed for commit. Survives a failed commit attempt so a
-  /// retried CommitBatch re-runs the pipeline on the same rows.
-  struct PendingCommit {
+  /// The latest micro-batch sealed for commit. `batch` survives a failed
+  /// attempt so a retried CommitBatch re-runs the pipeline on the same rows;
+  /// a successful commit empties it and sets `reply`, which answers re-sends.
+  struct Commit {
     uint64_t batch_seq = 0;
     std::chrono::steady_clock::time_point open_time;
     core::SealedBatch batch;
+    std::optional<legacy::BatchCommittedBody> reply;
   };
-  std::optional<PendingCommit> sealed_;  ///< pending commit (busy-serialized)
+  std::optional<Commit> commit_;  ///< the commit slot (busy-serialized)
 
   uint64_t last_watermark_ = 0;
-  /// Commit journal: batch_seq -> recorded reply, for client replays. Only
-  /// the latest entry is reachable by a correct client; the full map is kept
-  /// because it is tiny (one small struct per batch).
-  std::map<uint64_t, legacy::BatchCommittedBody> committed_batches_ HQ_GUARDED_BY(mu_);
-  /// Committed batch prefixes whose ledger entries are still retained.
-  std::deque<std::string> ledgered_prefixes_;
 
   /// Cumulative quality aggregates across committed batches.
   core::QualityTally quality_ HQ_GUARDED_BY(mu_);

@@ -122,6 +122,34 @@ TEST(HqcheckGoldenTest, LockNestingResolvesLocalsPerFunction) {
             }));
 }
 
+/// A lambda built while `m` is held runs later, not under `m`: its own
+/// acquisition of `m` is not nested. A nesting inside the lambda body is
+/// still checked against the locks the body itself takes.
+TEST(HqcheckGoldenTest, LockNestingStopsAtTheLambdaBarrier) {
+  const std::string source =
+      "class Node {\n"                                                   // 1
+      " public:\n"                                                       // 2
+      "  void Spawn() {\n"                                               // 3
+      "    common::MutexLock lock(&mu_);\n"                              // 4
+      "    later_ = [this] {\n"                                          // 5
+      "      common::MutexLock again(&mu_);\n"                           // 6
+      "      common::MutexLock queue(&queue_mu_);\n"                     // 7
+      "      common::MutexLock server(&mu_);\n"                          // 8
+      "    };\n"                                                         // 9
+      "  }\n"                                                            // 10
+      " private:\n"                                                      // 11
+      "  common::Mutex mu_{common::LockRank::kServer, \"node\"};\n"       // 12
+      "  common::Mutex queue_mu_{common::LockRank::kQueue, \"queue\"};\n"  // 13
+      "  std::function<void()> later_;\n"                                // 14
+      "};\n";
+  EXPECT_EQ(CheckSource("lambda.cc", source),
+            (std::vector<std::string>{
+                "lambda.cc:8: [lock-nesting] acquiring `mu_` (kServer) while holding "
+                "`queue_mu_` (kQueue) is not strictly descending; the runtime validator will "
+                "abort here — reorder the acquisitions or use MutexLock2 for same-rank pairs",
+            }));
+}
+
 // ---------------------------------------------------------------------------
 // Golden: enum-switch
 // ---------------------------------------------------------------------------

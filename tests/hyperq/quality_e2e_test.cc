@@ -351,6 +351,31 @@ TEST_F(QualityE2eTest, AbortOverThresholdFailsTheJobButKeepsTheQuarantine) {
   CheckDirtyQuarantine(qrtn);
 }
 
+/// A shipped import batch is retired whether the job then succeeds or
+/// fails: nothing ships it again, so its quarantine COPY ledger entries go.
+TEST_F(QualityE2eTest, ImportRetiresQuarantineLedgerWhetherItSucceedsOrFails) {
+  for (bool abort : {false, true}) {
+    SCOPED_TRACE(abort ? "abort over threshold" : "quarantine and continue");
+    StopNode();
+    HyperQOptions options;
+    options.quality = GateOptions();
+    options.quality.abort_over_threshold = abort;
+    options.quality.max_violation_rate = 0.5;  // dirty data runs at 0.7
+    StartNode(options);
+    WriteInput(DirtyData());
+    auto run = MakeClient().RunScript(BaseScript());
+    EXPECT_EQ(run.ok(), !abort) << run.status().ToString();
+
+    const std::string qrtn = FindQuarantineTable();
+    ASSERT_FALSE(qrtn.empty());
+    EXPECT_EQ(CountRows(qrtn), 7u);
+    EXPECT_EQ(cdw_->CopyLedgerSize(qrtn), 0u);
+    for (const std::string& table : cdw_->catalog()->ListTables()) {
+      EXPECT_EQ(cdw_->CopyLedgerSize(table), 0u) << table;
+    }
+  }
+}
+
 TEST_F(QualityE2eTest, NullRateCeilingBreachAbortsWhenPolicySaysSo) {
   HyperQOptions strict;
   strict.quality.spec = "PROD.CUSTOMER{JOIN_DATE:nullrate<=0.1}";

@@ -6,11 +6,10 @@
 #include "cloudstore/object_store.h"
 #include "common/bytes.h"
 
-/// COPY idempotence-ledger bounding (satellite of the streaming PR): the
-/// per-table ledger that makes retried COPYs exactly-once must not grow
-/// without bound over a long-lived stream. Covers the cap-based eviction
-/// (copy_ledger_max_entries), prefix-scoped forgetting used at watermark
-/// commit, and the exactly-once replay semantics both exist to protect.
+/// The CDW's COPY idempotence ledger: a retried COPY (lost ack) skips what
+/// the first attempt ingested, and prefix-scoped forgetting drops exactly
+/// one batch's entries. The load tail forgets a batch's prefix when it
+/// retires the batch, which is what bounds the ledger over a long stream.
 
 namespace hyperq::cdw {
 namespace {
@@ -34,10 +33,8 @@ std::string BatchKey(int batch, int part) {
 
 class LedgerTest : public ::testing::Test {
  protected:
-  void StartServer(size_t ledger_cap) {
-    CdwServerOptions options;
-    options.copy_ledger_max_entries = ledger_cap;
-    cdw_ = std::make_unique<CdwServer>(&store_, options);
+  void SetUp() override {
+    cdw_ = std::make_unique<CdwServer>(&store_);
     ASSERT_TRUE(cdw_->catalog()->CreateTable("T", OneColSchema()).ok());
   }
 
@@ -51,7 +48,6 @@ class LedgerTest : public ::testing::Test {
 };
 
 TEST_F(LedgerTest, ReissuedCopyIsIdempotentAndCumulative) {
-  StartServer(/*ledger_cap=*/0);
   PutRow(BatchKey(1, 0), 1);
   PutRow(BatchKey(1, 1), 2);
   EXPECT_EQ(cdw_->CopyInto("T", "stream/j/batch_00000001/").ValueOrDie(), 2u);
@@ -63,7 +59,6 @@ TEST_F(LedgerTest, ReissuedCopyIsIdempotentAndCumulative) {
 }
 
 TEST_F(LedgerTest, RetryAfterPartialStagePicksUpOnlyNewObjects) {
-  StartServer(/*ledger_cap=*/0);
   PutRow(BatchKey(1, 0), 1);
   EXPECT_EQ(cdw_->CopyInto("T", "stream/j/batch_00000001/").ValueOrDie(), 1u);
   PutRow(BatchKey(1, 1), 2);  // staged between attempt and retry
@@ -72,7 +67,6 @@ TEST_F(LedgerTest, RetryAfterPartialStagePicksUpOnlyNewObjects) {
 }
 
 TEST_F(LedgerTest, ForgetCopiesWithPrefixDropsOnlyThatBatch) {
-  StartServer(/*ledger_cap=*/0);
   PutRow(BatchKey(1, 0), 1);
   PutRow(BatchKey(2, 0), 2);
   EXPECT_EQ(cdw_->CopyInto("T", "stream/j/batch_00000001/").ValueOrDie(), 1u);
@@ -86,28 +80,7 @@ TEST_F(LedgerTest, ForgetCopiesWithPrefixDropsOnlyThatBatch) {
   EXPECT_EQ(cdw_->catalog()->GetTable("T").ValueOrDie()->num_rows(), 2u);
 }
 
-TEST_F(LedgerTest, CapEvictsOldestKeysFirst) {
-  StartServer(/*ledger_cap=*/2);
-  for (int batch = 1; batch <= 4; ++batch) {
-    PutRow(BatchKey(batch, 0), batch);
-    std::string prefix = "stream/j/batch_0000000" + std::to_string(batch) + "/";
-    EXPECT_EQ(cdw_->CopyInto("T", prefix).ValueOrDie(), 1u);
-    EXPECT_LE(cdw_->CopyLedgerSize("T"), 2u);
-  }
-  EXPECT_EQ(cdw_->catalog()->GetTable("T").ValueOrDie()->num_rows(), 4u);
-  // Zero-padded batch keys sort in commit order, so the survivors are the two
-  // NEWEST batches: a retry of batch 4 is still deduplicated...
-  EXPECT_EQ(cdw_->CopyInto("T", "stream/j/batch_00000004/").ValueOrDie(), 1u);
-  EXPECT_EQ(cdw_->catalog()->GetTable("T").ValueOrDie()->num_rows(), 4u);
-  // ...while batch 1, long past the watermark, was evicted — re-copying it
-  // now re-ingests (the stream protocol never re-sends committed batches, so
-  // this is the accepted trade of the bound).
-  EXPECT_EQ(cdw_->CopyInto("T", "stream/j/batch_00000001/").ValueOrDie(), 1u);
-  EXPECT_EQ(cdw_->catalog()->GetTable("T").ValueOrDie()->num_rows(), 5u);
-}
-
 TEST_F(LedgerTest, UnboundedByDefault) {
-  StartServer(/*ledger_cap=*/0);
   for (int batch = 1; batch <= 8; ++batch) {
     PutRow(BatchKey(batch, 0), batch);
     std::string prefix = "stream/j/batch_0000000" + std::to_string(batch) + "/";

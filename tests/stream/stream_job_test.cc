@@ -13,8 +13,8 @@
 #include "legacy/row_format.h"
 
 /// Direct StreamJob unit tests: micro-batch protocol enforcement (sequence,
-/// watermark, end-of-stream), the commit-replay journal, drift accounting and
-/// ledger bounding — everything below the LDWP surface the e2e exercises.
+/// watermark, end-of-stream), the commit slot, drift accounting and COPY
+/// ledger retirement — everything below the LDWP surface the e2e exercises.
 
 namespace hyperq::stream {
 namespace {
@@ -266,19 +266,85 @@ TEST_F(StreamJobTest, ChangeLayoutToCurrentIsNoOp) {
   EXPECT_EQ(job->stats().layout_changes, 0u);
 }
 
-TEST_F(StreamJobTest, LedgerStaysBoundedAcrossBatches) {
+TEST_F(StreamJobTest, ReplayOfAnOlderBatchIsProtocolError) {
+  auto job = MakeJob();
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}})).ok());
+  ASSERT_TRUE(job->CommitBatch(1, 1000).ok());
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(2, {{"2", "Bob", "2002-02-02"}})).ok());
+  auto second = job->CommitBatch(2, 2000);
+  ASSERT_TRUE(second.ok());
+
+  // Only the latest reply is kept: a correct client never re-sends an
+  // earlier batch once it has sent a later one.
+  auto stale = job->CommitBatch(1, 1000).status();
+  EXPECT_TRUE(stale.IsProtocolError());
+  EXPECT_NE(stale.message().find("commit for batch 1, expected 3"), std::string::npos);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 2u);
+
+  // The latest batch is still answered from the slot.
+  auto replay = job->CommitBatch(2, 2000);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->rows_total, second->rows_total);
+  EXPECT_EQ(job->stats().commit_replays, 1u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 2u);
+}
+
+TEST_F(StreamJobTest, CopyLedgerIsEmptyAfterEveryCommit) {
   auto ctx = MakeContext();
-  ctx.options.stream_ledger_keep_batches = 1;
+  ctx.options.io_retry.max_attempts = 2;
+  ctx.options.io_retry.initial_backoff_micros = 1;
+  ctx.options.io_retry.max_backoff_micros = 10;
+  ctx.options.quality.spec = "PROD.CUSTOMER{CUST_ID:charset[0-9]}";
+  ctx.options.quality.abort_over_threshold = true;
+  ctx.options.quality.batch_max_violation_rate = 0.5;
   auto job = StreamJob::Create("j1", MakeBegin(), std::move(ctx)).ValueOrDie();
-  for (uint64_t batch = 1; batch <= 4; ++batch) {
-    ASSERT_TRUE(job->SubmitChunk(MakeChunk(batch, {{std::to_string(batch), "N",
-                                                    "2001-01-01"}}))
-                    .ok());
-    ASSERT_TRUE(job->CommitBatch(batch, batch * 1000).ok());
-    EXPECT_LE(cdw_->CopyLedgerSize("HQ_STRM_j1"), 1u);
-  }
-  EXPECT_EQ(job->stats().ledger_evictions, 3u);
-  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 4u);
+  auto ledgers_empty = [&] {
+    return cdw_->CopyLedgerSize("HQ_STRM_j1") == 0 && cdw_->CopyLedgerSize("HQ_QRTN_j1") == 0;
+  };
+
+  // A plain commit, one row quarantined.
+  ASSERT_TRUE(
+      job->SubmitChunk(MakeChunk(1, {{"1", "Ada", "2001-01-01"}, {"2", "Bob", "2002-02-02"},
+                                     {"X3", "Cyd", "2003-03-03"}}))
+          .ok());
+  ASSERT_TRUE(job->CommitBatch(1, 1000).ok());
+  EXPECT_TRUE(ledgers_empty());
+
+  // A batch rejected by the quality gate ships only its quarantine rows.
+  ASSERT_TRUE(job->SubmitChunk(MakeChunk(2, {{"X4", "Dee", "2004-04-04"}})).ok());
+  auto rejected = job->CommitBatch(2, 2000);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_NE(rejected->message.find("rejected"), std::string::npos) << rejected->message;
+  EXPECT_TRUE(ledgers_empty());
+
+  // The first COPY's ack is lost (absorbed by the ledger within the
+  // attempt), then the ET insert of the bad-arity row runs out of retries.
+  // The failed attempt keeps its ledger entries for the retry.
+  ASSERT_TRUE(
+      job->SubmitChunk(MakeChunk(3, {{"5", "Eve", "2005-05-05"}, {"6", "Fay"},
+                                     {"X7", "Gus", "2007-07-07"}}))
+          .ok());
+  ASSERT_TRUE(
+      common::FaultInjector::Global().Arm("cdw.copy=drop,once=1;cdw.exec=error,p=1").ok());
+  ASSERT_FALSE(job->CommitBatch(3, 3000).ok());
+  EXPECT_EQ(cdw_->CopyLedgerSize("HQ_STRM_j1"), 1u);
+  EXPECT_EQ(cdw_->CopyLedgerSize("HQ_QRTN_j1"), 1u);
+  ResetResilienceState();
+  auto retried = job->CommitBatch(3, 3000);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(ledgers_empty());
+
+  // Every batch landed exactly once.
+  EXPECT_EQ(retried->rows_in_batch, 1u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER"), 3u);
+  EXPECT_EQ(CountRows("HQ_QRTN_j1"), 3u);
+  EXPECT_EQ(CountRows("PROD.CUSTOMER_ET"), 1u);
+  StreamStats stats = job->stats();
+  EXPECT_EQ(stats.batches_committed, 3u);
+  EXPECT_EQ(stats.batches_rejected, 1u);
+  EXPECT_EQ(stats.commit_retries, 1u);
+  EXPECT_TRUE(job->Finish(3, 7).ok());
+  EXPECT_TRUE(ledgers_empty());
 }
 
 TEST_F(StreamJobTest, FailedCommitRetainsBatchForRetry) {

@@ -907,13 +907,15 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
   size_t stmt = open;  // first token of the current statement
   size_t blocked_stmt = close;  // last statement reported as blocking
 
-  // Lock declarations live at this point. Locks taken outside an enclosing
-  // lambda do not count: the lambda body runs later, not under them.
+  // Locks taken outside an enclosing lambda do not count at this point: the
+  // lambda body runs later, not under them. Only locks at or below this
+  // brace depth are held.
+  auto barrier = [&] { return lambda_depths.empty() ? 0 : lambda_depths.back(); };
+  // Lock declarations live at this point.
   auto held = [&] {
-    int barrier = lambda_depths.empty() ? 0 : lambda_depths.back();
     int n = 0;
     for (size_t k = 0; k < locks.size(); ++k) {
-      if (locks[k].depth >= barrier && (k == 0 || locks[k].decl != locks[k - 1].decl)) ++n;
+      if (locks[k].depth >= barrier() && (k == 0 || locks[k].decl != locks[k - 1].decl)) ++n;
     }
     return n;
   };
@@ -1006,7 +1008,7 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
       }
       for (const auto& [guard, line] : acquired) {
         std::string rank = ResolveRank(d, ctx.cls, guard, locals, i);
-        if (!locks.empty() && !pair) {
+        if (!locks.empty() && !pair && locks.back().depth >= barrier()) {
           const LiveLock& outer = locks.back();
           if (!rank.empty() && !outer.rank.empty()) {
             int inner_idx = LockRankIndex(rank);
@@ -1097,10 +1099,9 @@ void AnalyzeBody(const BodyContext& ctx, size_t open, size_t close) {
         if (t[i + 1].text == "::") continue;  // qualified name, not an access
         const std::string& guard = fit->second;
         bool in_lambda = !lambda_depths.empty();
-        int barrier = in_lambda ? lambda_depths.back() : 0;
         bool satisfied = false;
         for (const LiveLock& l : locks) {
-          if (l.guard == guard && l.depth >= barrier) {
+          if (l.guard == guard && l.depth >= barrier()) {
             satisfied = true;
             break;
           }
